@@ -664,7 +664,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             lines.append(f"  {g['error']}")
         for m in g["mismatches"]:
             lines.append(
-                f"  {m['workload']}[sanitize={m['sanitize']}].{m['field']}: "
+                f"  {m['workload']}[sanitize={m['sanitize']}, "
+                f"plan_cache={m['plan_cache']}].{m['field']}: "
                 f"expected {m['expected']!r}, observed {m['observed']!r}"
             )
     lines.append(f"overall            : {'PASS' if passed else 'FAIL'}")

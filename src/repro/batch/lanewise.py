@@ -9,7 +9,8 @@ context), so batched lanes stay bit-identical to scalar runs.
 
 Charge fidelity: :func:`repro.core.primitives.extract` charges one local
 pass over the slice extent plus one full-share communication round per
-orthogonal grid dimension (fused and unfused paths charge identically);
+orthogonal grid dimension (its only path, with the plan cache on or off —
+``REPRO_PLAN_CACHE=0`` just rebuilds the plans every call);
 :func:`~repro.core.primitives.insert` charges one local pass;
 :meth:`~repro.machine.hypercube.Hypercube.read_scalar` charges one
 single-element bus transfer.  Each helper below replays exactly that.
@@ -61,14 +62,10 @@ def _lane_indices(machine, index, extent: int, act: Optional[np.ndarray]):
 def _slice_owner_lanes(emb, axis: int, idx: np.ndarray):
     """Per-lane (grid coordinate, local slot) arrays of the slices."""
     if axis == 0:
-        if emb.machine.plans.enabled:
-            owners, slots = emb.row_owner_table()
-            return owners[idx], slots[idx]
-        return emb.row_layout.owner(idx), emb.row_layout.slot(idx)
-    if emb.machine.plans.enabled:
+        owners, slots = emb.row_owner_table()
+    else:
         owners, slots = emb.col_owner_table()
-        return owners[idx], slots[idx]
-    return emb.col_layout.owner(idx), emb.col_layout.slot(idx)
+    return owners[idx], slots[idx]
 
 
 def _charge_bus_read(machine) -> None:

@@ -10,8 +10,9 @@ reviewed like any other behavioural change, instead of drifting silently.
 
 The snapshots double as the seed-counter pin: they were captured with the
 sanitizer *off* on the seed tree, and the conformance runner replays the
-workloads (sanitizer off, then on) to verify both that accounting is
-unchanged and that the sanitizer's presence does not perturb it.
+workloads under sanitizer off/on × plan cache on/off to verify that
+accounting is unchanged, that the sanitizer's presence does not perturb
+it, and that rebuilding every plan charges exactly what replaying does.
 
 Update after an intentional accounting change with::
 
@@ -98,11 +99,13 @@ SESSION_OPTS: Dict[str, Dict[str, object]] = {
 }
 
 
-def _run_one(name: str, sanitize: bool) -> Dict[str, float]:
+def _run_one(
+    name: str, sanitize: bool, plan_cache: bool = True
+) -> Dict[str, float]:
     session = Session(
         N_DIMS,
         cost_model=COST_MODEL,
-        plan_cache=True,
+        plan_cache=plan_cache,
         sanitize=sanitize,
         **SESSION_OPTS.get(name, {}),
     )
@@ -136,10 +139,11 @@ def update_golden(path: Optional[Path] = None) -> dict:
 
 
 def compare_golden(path: Optional[Path] = None) -> Tuple[bool, list]:
-    """Replay every workload twice (sanitizer off and on) vs the pin.
+    """Replay every workload under sanitizer off/on × plan cache on/off.
 
     Returns ``(passed, mismatches)`` where each mismatch names the
-    workload, the sanitizer state, the field and both values.  Exact float
+    workload, the sanitizer and plan-cache states, the field and both
+    values.  Exact float
     comparison: cached charges and memoized rates are bit-stable, so any
     inequality is a real accounting change.
     """
@@ -147,18 +151,20 @@ def compare_golden(path: Optional[Path] = None) -> Tuple[bool, list]:
     mismatches = []
     for name, want in golden["workloads"].items():
         for sanitize in (False, True):
-            got = _run_one(name, sanitize)
-            for field in golden["fields"]:
-                if got[field] != want[field]:
-                    mismatches.append(
-                        {
-                            "workload": name,
-                            "sanitize": sanitize,
-                            "field": field,
-                            "expected": want[field],
-                            "observed": got[field],
-                        }
-                    )
+            for plan_cache in (True, False):
+                got = _run_one(name, sanitize, plan_cache)
+                for field in golden["fields"]:
+                    if got[field] != want[field]:
+                        mismatches.append(
+                            {
+                                "workload": name,
+                                "sanitize": sanitize,
+                                "plan_cache": plan_cache,
+                                "field": field,
+                                "expected": want[field],
+                                "observed": got[field],
+                            }
+                        )
     return not mismatches, mismatches
 
 

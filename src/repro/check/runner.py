@@ -7,7 +7,7 @@ Assembles the three layers of :mod:`repro.check` into one JSON report:
 2. **sanitized differential sweep** — every oracle case vs its serial
    reference across the configuration matrix, sanitizer attached;
 3. **golden cost snapshots** — the pinned tier-1 counters must replay
-   exactly, sanitizer off and on.
+   exactly, sanitizer off/on × plan cache on/off.
 
 :func:`run_check` returns ``(report, passed)``; the CLI exits nonzero on
 any violation so CI can gate on it.

@@ -549,10 +549,14 @@ class MachineSanitizer:
         machine: "Hypercube",
         dims: Tuple[int, ...],
         root_rank: int,
-        sent: Any,
-        received: Any,
+        sent: np.ndarray,
+        received: np.ndarray,
     ) -> None:
         """Every subcube member ended with the root's block.
+
+        ``sent`` / ``received`` are the ``(p, ...)`` data arrays before and
+        after the broadcast (plain arrays, so auditing a fused primitive
+        constructs no extra :class:`~repro.machine.pvar.PVar`).
 
         The root map is recomputed here from first principles (never via
         the plan cache), so a stale or corrupted cached collective plan
@@ -566,8 +570,7 @@ class MachineSanitizer:
         for j, d in enumerate(dims):
             if (root_rank >> j) & 1:
                 root = root | np.int64(1 << d)
-        expected = sent.data[root]
-        if not _array_equal(np.asarray(received.data), np.asarray(expected)):
+        if not _array_equal(np.asarray(received), np.asarray(sent)[root]):
             self._fail(
                 "broadcast-root",
                 f"broadcast over dims {list(dims)} (root_rank {root_rank}) "

@@ -6,8 +6,11 @@ column subcubes of a two-dimensional processor grid — which is exactly how
 the paper's primitives use them (a row-reduce is an all-reduce over the
 column dimensions of the grid, etc.).
 
-All collectives execute real per-dimension exchange rounds on the simulated
-machine, so their charged cost is a consequence of what they actually do:
+The collectives execute real per-dimension exchange rounds on the
+simulated machine, so their charged cost is a consequence of what they
+actually do.  ``broadcast`` and ``reduce_all_loc`` have a data-independent
+schedule and replay it from a memoized plan (root map, subcube members)
+instead, charging the same rounds:
 
 ============================  =====================================================
 collective                    cost over a 2**k subcube, local block of L elements
@@ -139,37 +142,20 @@ def broadcast(
         machine, "broadcast", "collective",
         dims=list(dims), volume=pvar.local_size,
     ):
-        sanitizer = machine.sanitizer
-        if machine.plans.enabled:
-            # Plan replay: the binomial tree's charge schedule is one
-            # full-block round per dimension, and its functional result is
-            # the root's block everywhere — both replayed exactly from the
-            # cached root map, so ticks and data are bit-identical to the
-            # exchange loop below.
-            machine._check_owned(pvar)
-            root_pid = _root_pid_map(machine, dims, root_rank)
-            for d in dims:
-                machine.charge_comm_round(pvar.local_size, dim=d)
-            out = PVar(machine, pvar.data[root_pid])
-            if sanitizer is not None:
-                sanitizer.audit_broadcast(machine, dims, root_rank, pvar, out)
-            return out
-        rank = subcube_rank(machine, dims)
-        has = rank == root_rank
-        data = pvar
+        # Plan replay: the binomial tree's charge schedule is one full-block
+        # round per dimension, and its functional result is the root's block
+        # everywhere — both replayed from the memoized root map.
+        machine._check_owned(pvar)
+        root_pid = _root_pid_map(machine, dims, root_rank)
         for d in dims:
-            recv = machine.exchange(data, d)
-            recv_has = has[machine.pids() ^ (1 << d)]
-            take = recv_has & ~has
-            if np.any(take):
-                out = data.data.copy()
-                out[take] = recv.data[take]
-                data = PVar(machine, out)
-            has = has | recv_has
-        assert bool(np.all(has))
+            machine.charge_comm_round(pvar.local_size, dim=d)
+        out = PVar(machine, pvar.data[root_pid])
+        sanitizer = machine.sanitizer
         if sanitizer is not None:
-            sanitizer.audit_broadcast(machine, dims, root_rank, pvar, data)
-        return data
+            sanitizer.audit_broadcast(
+                machine, dims, root_rank, pvar.data, out.data
+            )
+        return out
 
 
 def reduce_all(
@@ -257,8 +243,7 @@ def _reduce_all_loc_impl(
     val = value
     idx = index
     if (
-        machine.plans.enabled
-        and dims
+        dims
         and index.dtype.kind in "iu"
         and not (value.dtype.kind == "f" and np.isnan(value.data).any())
     ):
@@ -268,8 +253,9 @@ def _reduce_all_loc_impl(
         # precisely the per-subcube (extreme value, smallest winning index)
         # — computable in one pass.  The loop's charge schedule (two
         # full-block exchanges plus one 3-op compare pass per dimension) is
-        # data-independent and replayed verbatim.  NaNs break the
-        # order-independence argument, so they take the loop.
+        # data-independent and replayed verbatim.  NaN values break the
+        # order-independence argument and a non-integer index has no
+        # sentinel, so those inputs take the loop — their only correct path.
         machine._check_owned(value)
         machine._check_owned(index)
         sub_of_pid, members = _subcube_members(machine, dims)
@@ -569,7 +555,9 @@ def broadcast_pipelined(
         out = PVar(machine, pvar.data[root_pid])
         sanitizer = machine.sanitizer
         if sanitizer is not None:
-            sanitizer.audit_broadcast(machine, dims, root_rank, pvar, out)
+            sanitizer.audit_broadcast(
+                machine, dims, root_rank, pvar.data, out.data
+            )
         return out
 
 

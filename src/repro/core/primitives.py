@@ -80,19 +80,14 @@ def _aligned_embedding(
     memoized per (matrix signature, axis, residence) on the plan cache and
     shared across solver iterations.
     """
-    plans = emb.machine.plans
-    if plans.enabled:
-        return plans.memo(
-            ("aligned-emb", emb.signature(), axis, resident),
-            lambda: (
-                RowAlignedEmbedding(emb, resident)
-                if axis == 0
-                else ColAlignedEmbedding(emb, resident)
-            ),
-        )
-    if axis == 0:
-        return RowAlignedEmbedding(emb, resident)  # slice of a row: length C
-    return ColAlignedEmbedding(emb, resident)  # slice of a column: length R
+    return emb.machine.plans.memo(
+        ("aligned-emb", emb.signature(), axis, resident),
+        lambda: (
+            RowAlignedEmbedding(emb, resident)  # slice of a row: length C
+            if axis == 0
+            else ColAlignedEmbedding(emb, resident)  # slice of a column: R
+        ),
+    )
 
 
 def _slice_owner(emb: MatrixEmbedding, axis: Axis, index: int) -> Tuple[int, int]:
@@ -100,16 +95,12 @@ def _slice_owner(emb: MatrixEmbedding, axis: Axis, index: int) -> Tuple[int, int
     if axis == 0:
         if not (0 <= index < emb.R):
             raise IndexError(f"row index {index} out of range [0, {emb.R})")
-        if emb.machine.plans.enabled:
-            owners, slots = emb.row_owner_table()
-            return int(owners[index]), int(slots[index])
-        return int(emb.row_layout.owner(index)), int(emb.row_layout.slot(index))
-    if not (0 <= index < emb.C):
-        raise IndexError(f"column index {index} out of range [0, {emb.C})")
-    if emb.machine.plans.enabled:
+        owners, slots = emb.row_owner_table()
+    else:
+        if not (0 <= index < emb.C):
+            raise IndexError(f"column index {index} out of range [0, {emb.C})")
         owners, slots = emb.col_owner_table()
-        return int(owners[index]), int(slots[index])
-    return int(emb.col_layout.owner(index)), int(emb.col_layout.slot(index))
+    return int(owners[index]), int(slots[index])
 
 
 # ---------------------------------------------------------------------------
@@ -145,39 +136,29 @@ def extract(
 
         vec_emb = _aligned_embedding(emb, axis, resident=grid_coord)
 
-        if replicate and machine.plans.enabled and vec_emb.across_dims:
-            # Fused slice-copy + broadcast replay: the broadcast overwrites
-            # every processor with the root band's slice, so the masked
-            # intermediate is dead — gather the roots' values directly.  The
-            # charge sequence (one local pass, then one full-block round per
-            # orthogonal dimension) is exactly the unfused path's.
-            root_pid = _root_pid_map(
-                machine, vec_emb.across_dims, vec_emb.across_code(grid_coord)
-            )
+        if not replicate:
+            in_band = (grid_r if axis == 0 else grid_c) == grid_coord
+            band = in_band.reshape((machine.p,) + (1,) * (local.ndim - 1))
+            out = np.where(band, local, np.zeros((), dtype=local.dtype))
             machine.charge_local(local.shape[1])
-            share = max(local.shape[1], 1)
-            for d in vec_emb.across_dims:
-                machine.charge_comm_round(share, dim=d)
-            return (
-                PVar(machine, local[root_pid]),
-                _aligned_embedding(emb, axis, None),
-            )
+            return PVar(machine, out), vec_emb
 
-        in_band = (grid_r if axis == 0 else grid_c) == grid_coord
-        band = in_band.reshape((machine.p,) + (1,) * (local.ndim - 1))
-        out = np.where(band, local, np.zeros((), dtype=local.dtype))
+        # Fused slice-copy + broadcast: the broadcast overwrites every
+        # processor with the root band's slice, so the masked intermediate
+        # is dead — gather the roots' values directly.  Charges one local
+        # pass, then one full-share round per orthogonal dimension.
+        across = vec_emb.across_dims
+        root_rank = vec_emb.across_code(grid_coord)
+        root_pid = _root_pid_map(machine, across, root_rank)
         machine.charge_local(local.shape[1])
-        vec = PVar(machine, out)
-
-        if replicate:
-            vec = comm.broadcast(
-                machine,
-                vec,
-                dims=vec_emb.across_dims,
-                root_rank=vec_emb.across_code(grid_coord),
-            )
-            vec_emb = _aligned_embedding(emb, axis, None)
-        return vec, vec_emb
+        share = max(local.shape[1], 1)
+        for d in across:
+            machine.charge_comm_round(share, dim=d)
+        out = local[root_pid]
+        sanitizer = machine.sanitizer
+        if sanitizer is not None:
+            sanitizer.audit_broadcast(machine, across, root_rank, local, out)
+        return PVar(machine, out), _aligned_embedding(emb, axis, None)
 
 
 # ---------------------------------------------------------------------------

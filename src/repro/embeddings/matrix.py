@@ -252,18 +252,12 @@ class MatrixEmbedding:
         )
 
     def owner_slot_scalar(self, i: int, j: int) -> Tuple[int, int, int]:
-        """``(pid, slot_r, slot_c)`` of one element as Python ints.
-
-        Uses the memoized per-axis owner tables when the plan cache is
-        enabled; otherwise falls back to the direct computation.
-        """
-        if self.machine.plans.enabled:
-            gr_tab, sr_tab = self.row_owner_table()
-            gc_tab, sc_tab = self.col_owner_table()
-            pid = self.pid_for_grid(int(gr_tab[i]), int(gc_tab[j]))
-            return int(np.asarray(pid)), int(sr_tab[i]), int(sc_tab[j])
-        pid, sr, sc = self.owner_slot(i, j)
-        return int(np.asarray(pid)), int(np.asarray(sr)), int(np.asarray(sc))
+        """``(pid, slot_r, slot_c)`` of one element as Python ints, read
+        from the memoized per-axis owner tables."""
+        gr_tab, sr_tab = self.row_owner_table()
+        gc_tab, sc_tab = self.col_owner_table()
+        pid = self.pid_for_grid(int(gr_tab[i]), int(gc_tab[j]))
+        return int(np.asarray(pid)), int(sr_tab[i]), int(sc_tab[j])
 
     # -- masks --------------------------------------------------------------------
 

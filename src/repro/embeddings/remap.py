@@ -15,7 +15,10 @@ Cost fidelity: the data motion between primary copies is charged by
 running the e-cube :class:`~repro.machine.router.Router` over the exact
 multiset of (source, destination, element-count) messages the change
 induces, so congestion effects are captured; a replicated destination then
-pays real broadcast rounds over the orthogonal subcube.  The functional
+pays real broadcast rounds over the orthogonal subcube.  Each change is
+reduced once to a :class:`~repro.machine.plans.RemapPlan` (pack, route,
+unpack) and replayed from the machine's plan cache; a disabled cache
+rebuilds the same plan on every call.  The functional
 data movement itself is performed through a host-side image, which is
 exact and keeps the simulator fast.
 """
@@ -28,7 +31,7 @@ import numpy as np
 
 from ..errors import EmbeddingError, ShapeError
 from ..machine.hypercube import Hypercube
-from ..machine.plans import MISSING, RemapPlan
+from ..machine.plans import RemapPlan
 from ..machine.pvar import PVar
 from ..machine.router import Router, RouteStats
 from ..obs.tracer import maybe_span
@@ -38,41 +41,52 @@ from .matrix import MatrixEmbedding
 from .vector import VectorEmbedding, _AlignedEmbedding
 
 
-def _charge_messages(
-    machine: Hypercube, src_pid: np.ndarray, dst_pid: np.ndarray
-) -> None:
-    """Charge the router for one element flowing src→dst per array entry."""
-    moving = src_pid != dst_pid
-    if not np.any(moving):
-        return
-    pair = src_pid[moving].astype(np.int64) * machine.p + dst_pid[moving]
-    pairs, counts = np.unique(pair, return_counts=True)
-    Router(machine).simulate(
-        pairs // machine.p, pairs % machine.p, counts.astype(np.float64)
-    )
-
-
 def _route_stats(
     machine: Hypercube, src_pid: np.ndarray, dst_pid: np.ndarray
 ) -> "RouteStats | None":
-    """Uncharged :class:`RouteStats` of the multiset :func:`_charge_messages`
-    would route, or ``None`` when no element changes processors.
+    """Uncharged :class:`RouteStats` of one element flowing src→dst per
+    array entry, or ``None`` when no element changes processors.
 
-    ``Router.simulate`` ends in one ``charge_transfer(element_hops, rounds,
-    time)`` call, so replaying the returned stats later (see
-    :meth:`RemapPlan.charge`) is bit-identical to charging here.
+    The message multiset is deduplicated to one message per (src, dst)
+    pair.  ``Router.simulate`` ends in one ``charge_transfer(element_hops,
+    rounds, time)`` call, so replaying the returned stats later (see
+    :meth:`RemapPlan.charge`) is bit-identical to charging here.  An
+    attached sanitizer audits the stats' e-cube conservation at build
+    time, since the replay only checks that it charged what they record.
     """
     moving = src_pid != dst_pid
     if not np.any(moving):
         return None
     pair = src_pid[moving].astype(np.int64) * machine.p + dst_pid[moving]
     pairs, counts = np.unique(pair, return_counts=True)
-    return Router(machine).simulate(
-        pairs // machine.p,
-        pairs % machine.p,
-        counts.astype(np.float64),
-        charge=False,
-    )
+    src, dst = pairs // machine.p, pairs % machine.p
+    sizes = counts.astype(np.float64)
+    stats = Router(machine).simulate(src, dst, sizes, charge=False)
+    sanitizer = machine.sanitizer
+    if sanitizer is not None:
+        sanitizer.audit_route(
+            machine, src, dst, sizes, stats, before=None, from_cache=False
+        )
+    return stats
+
+
+def _charge_remap(machine: Hypercube, key, src, dst, owner_pids) -> None:
+    """Charge one embedding change: pack, route, unpack.
+
+    ``owner_pids()`` returns the ``(src_pid, dst_pid)`` owner maps of every
+    element; the resulting :class:`RemapPlan` is memoized under ``key``
+    (rebuilt on every call when the plan cache is disabled).
+    """
+
+    def build() -> RemapPlan:
+        src_pid, dst_pid = owner_pids()
+        return RemapPlan(
+            src_local=src.local_size,
+            dst_local=dst.local_size,
+            route=_route_stats(machine, src_pid, dst_pid),
+        )
+
+    machine.plans.memo(key, build).charge(machine)
 
 
 def _row_pid_parts(emb: MatrixEmbedding) -> np.ndarray:
@@ -118,29 +132,13 @@ def remap_vector(
     ):
         host = src.gather(pvar)
 
-        plans = machine.plans
-        if plans.enabled:
-            key = ("remap-vector", src.signature(), dst.signature())
-            plan = plans.lookup(key)
-            if plan is MISSING:
-                src_pid, _ = src.owner_slot_table()
-                dst_pid, _ = dst.owner_slot_table()
-                plan = plans.store(
-                    key,
-                    RemapPlan(
-                        src_local=src.local_size,
-                        dst_local=dst.local_size,
-                        route=_route_stats(machine, src_pid, dst_pid),
-                    ),
-                )
-            plan.charge(machine)  # pack, route, unpack — seed's sequence
-        else:
-            g = np.arange(src.L)
-            src_pid, _ = src.owner_slot(g)
-            dst_pid, _ = dst.owner_slot(g)
-            machine.charge_local(src.local_size)  # pack
-            _charge_messages(machine, np.asarray(src_pid), np.asarray(dst_pid))
-            machine.charge_local(dst.local_size)  # unpack
+        _charge_remap(
+            machine,
+            ("remap-vector", src.signature(), dst.signature()),
+            src,
+            dst,
+            lambda: (src.owner_slot_table()[0], dst.owner_slot_table()[0]),
+        )
 
         out = dst.scatter(host)
         if dst.replicated:
@@ -183,40 +181,18 @@ def redistribute_matrix(
     ):
         host = src.gather(pvar)
 
-        plans = machine.plans
-        if plans.enabled:
-            key = ("redistribute", src.signature(), dst.signature())
-            plan = plans.lookup(key)
-            if plan is MISSING:
-                # Owner pids separate over the axes (pid = row_part |
-                # col_part), so the R x C owner maps are two outer ORs —
-                # no meshgrid of R*C index vectors needed.
-                src_pid = (
-                    _row_pid_parts(src)[:, None] | _col_pid_parts(src)[None, :]
-                )
-                dst_pid = (
-                    _row_pid_parts(dst)[:, None] | _col_pid_parts(dst)[None, :]
-                )
-                plan = plans.store(
-                    key,
-                    RemapPlan(
-                        src_local=src.local_size,
-                        dst_local=dst.local_size,
-                        route=_route_stats(machine, src_pid, dst_pid),
-                    ),
-                )
-            plan.charge(machine)
-        else:
-            ii, jj = np.meshgrid(
-                np.arange(src.R), np.arange(src.C), indexing="ij"
-            )
-            ii = ii.ravel()
-            jj = jj.ravel()
-            src_pid = np.asarray(src.owner(ii, jj))
-            dst_pid = np.asarray(dst.owner(ii, jj))
-            machine.charge_local(src.local_size)
-            _charge_messages(machine, src_pid, dst_pid)
-            machine.charge_local(dst.local_size)
+        # Owner pids separate over the axes (pid = row_part | col_part), so
+        # the R x C owner maps are two outer ORs.
+        _charge_remap(
+            machine,
+            ("redistribute", src.signature(), dst.signature()),
+            src,
+            dst,
+            lambda: (
+                _row_pid_parts(src)[:, None] | _col_pid_parts(src)[None, :],
+                _row_pid_parts(dst)[:, None] | _col_pid_parts(dst)[None, :],
+            ),
+        )
         return dst.scatter(host)
 
 
@@ -268,44 +244,21 @@ def transpose(
         if not same_grid:
             # Relabelling transpose: ``transposed()`` swaps the dimension
             # sets and layouts, so ``dst.owner(j, i) == src.owner(i, j)``
-            # identically — the message multiset is empty and the seed's
-            # router call charged nothing.  Skip the R x C owner
-            # computation outright (valid with the plan cache on or off).
+            # identically — the message multiset is empty and the router
+            # would charge nothing.  Skip the R x C owner computation.
             machine.charge_local(src.local_size)
             machine.charge_local(dst.local_size)
             return dst.scatter(hostT), dst
 
-        plans = machine.plans
-        if plans.enabled:
-            key = ("transpose-samegrid", src.signature())
-            plan = plans.lookup(key)
-            if plan is MISSING:
-                # Element (i, j) moves to where (j, i) of the destination
-                # lives; both owner maps split into per-axis pid parts.
-                src_pid = (
-                    _row_pid_parts(src)[:, None] | _col_pid_parts(src)[None, :]
-                )
-                dst_pid = (
-                    _col_pid_parts(dst)[:, None] | _row_pid_parts(dst)[None, :]
-                )
-                plan = plans.store(
-                    key,
-                    RemapPlan(
-                        src_local=src.local_size,
-                        dst_local=dst.local_size,
-                        route=_route_stats(machine, src_pid, dst_pid),
-                    ),
-                )
-            plan.charge(machine)
-        else:
-            ii, jj = np.meshgrid(
-                np.arange(src.R), np.arange(src.C), indexing="ij"
-            )
-            ii = ii.ravel()
-            jj = jj.ravel()
-            src_pid = np.asarray(src.owner(ii, jj))
-            dst_pid = np.asarray(dst.owner(jj, ii))
-            machine.charge_local(src.local_size)
-            _charge_messages(machine, src_pid, dst_pid)
-            machine.charge_local(dst.local_size)
+        # Element (i, j) moves to where (j, i) of the destination lives.
+        _charge_remap(
+            machine,
+            ("transpose-samegrid", src.signature()),
+            src,
+            dst,
+            lambda: (
+                _row_pid_parts(src)[:, None] | _col_pid_parts(src)[None, :],
+                _col_pid_parts(dst)[:, None] | _row_pid_parts(dst)[None, :],
+            ),
+        )
         return dst.scatter(hostT), dst

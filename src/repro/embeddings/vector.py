@@ -99,16 +99,10 @@ class VectorEmbedding(abc.ABC):
         )
 
     def owner_slot_scalar(self, g: int) -> Tuple[int, int]:
-        """``(pid, slot)`` of one global index as Python ints.
-
-        Uses the memoized owner table when the plan cache is enabled;
-        otherwise falls back to the direct per-index computation.
-        """
-        if self.machine.plans.enabled:
-            pids, slots = self.owner_slot_table()
-            return int(pids[g]), int(slots[g])
-        pid, slot = self.owner_slot(g)
-        return int(np.asarray(pid)), int(np.asarray(slot))
+        """``(pid, slot)`` of one global index as Python ints, read from
+        the memoized owner table."""
+        pids, slots = self.owner_slot_table()
+        return int(pids[g]), int(slots[g])
 
     def valid_mask(self) -> np.ndarray:
         """Boolean ``(p, *local_shape)``: slots holding real elements.

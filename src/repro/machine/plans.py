@@ -20,19 +20,32 @@ inner loop, the way communication-avoiding frameworks do:
 * collective plans — ``comm.broadcast`` derives its root-processor map for
   a fixed ``(dims, root_rank)`` once and replays it.
 
-**Hard invariant:** the cache accelerates *wall-clock* simulation only.
-Simulated ticks and every :class:`~.counters.Counters` /
-:class:`~.counters.CostSnapshot` value are bit-identical with the cache on
-or off: cached plans replay exactly the charge sequence (same float
-amounts, same order) that the uncached path would execute, and cached
-functional results are exact copies of what the uncached data motion
-produces.  ``tests/test_plan_cache.py`` pins this equivalence.
+**One path.**  Every primitive, collective and embedding change obtains
+its plan through :meth:`PlanCache.memo` and replays it; there is no
+separate uncached algorithm.  Disabling the cache only means *rebuild
+every plan on every call* along that same path, so simulated ticks and
+every :class:`~.counters.Counters` / :class:`~.counters.CostSnapshot`
+value are bit-identical with the cache on or off — with or without the
+sanitizer, ABFT or a fault injector attached.  ``tests/test_plan_cache.py``
+and the golden pins (:mod:`repro.check.golden`) check this equivalence.
 
 The cache is on by default; disable it with the environment variable
 ``REPRO_PLAN_CACHE=0`` (checked at machine construction) or per machine via
 ``Hypercube(n, plan_cache=False)`` / ``Session(n, plan_cache=False)``.
 Hit/miss/eviction counts live on ``machine.counters`` (outside
 :class:`~.counters.CostSnapshot`, which stays a pure cost record).
+
+Replayed rounds are charged with :meth:`~.hypercube.Hypercube.
+charge_comm_round` rather than a data-carrying
+:meth:`~.hypercube.Hypercube.exchange`.  Three observer-visible
+consequences hold in both cache modes:
+
+* replayed broadcast / extract / argreduce rounds carry no ABFT wire
+  checksum word (``exchange`` rounds do);
+* without ABFT, an armed ``LinkCorrupt`` waits for the next real
+  ``exchange`` instead of landing on a replayed round;
+* remap traffic replays its recorded route stats (``on_route_replay``):
+  it opens no live ``route`` span and records no per-link loads.
 """
 
 from __future__ import annotations
@@ -91,7 +104,7 @@ class RemapPlan:
     route: Optional["RouteStats"]
 
     def charge(self, machine: "Hypercube") -> None:
-        """Replay the uncached path's exact charge sequence."""
+        """Charge pack, route, unpack — in that order."""
         machine.charge_local(self.src_local)
         charge_route(machine, self.route)
         machine.charge_local(self.dst_local)
@@ -101,8 +114,8 @@ def charge_route(machine: "Hypercube", stats: Optional["RouteStats"]) -> None:
     """Charge precomputed route stats exactly as ``Router.simulate`` would.
 
     ``Router.simulate`` ends in one ``charge_transfer(total_hops, rounds,
-    total_time)`` call; replaying it with the stored floats is
-    bit-identical to re-running the per-dimension routing loop.
+    total_time)`` call; replaying it with the stored floats charges the
+    same as re-running the per-dimension routing loop.
     """
     if stats is not None:
         sanitizer = machine.sanitizer
@@ -124,7 +137,8 @@ class PlanCache:
     digests, dimension tuples).  A new :class:`~.hypercube.Hypercube` gets
     a fresh empty cache, so plans can never leak across machines or cost
     models.  When ``enabled`` is false every lookup misses and every
-    ``memo`` recomputes — the uncached code paths run exactly as before.
+    ``memo`` rebuilds its plan — callers run the same replay path either
+    way, so only wall-clock time differs.
     """
 
     def __init__(

@@ -132,7 +132,7 @@ class Router:
             # call, so the counters cannot tell the difference.
             plans = machine.plans
             cache_key = None
-            if plans.enabled and not gray:
+            if not gray:
                 cache_key = (
                     "route", src.tobytes(), dst.tobytes(), sizes.tobytes()
                 )

@@ -193,12 +193,14 @@ class TestSpanTree:
         assert any(sp.plan_hits > 0 for sp in spans)
 
     def test_route_spans_record_congestion_rounds(self):
-        # plan cache off: the live e-cube routing loop runs and is spanned
+        # a charged route on a cold cache runs the live e-cube routing loop,
+        # which is spanned
+        from repro.machine.router import Router
+
         s = Session(4, trace=True, plan_cache=False)
-        rng = np.random.default_rng(0)
-        A = s.matrix(rng.standard_normal((8, 8)))
-        from repro.embeddings.remap import transpose
-        transpose(A.pvar, A.embedding, same_grid=True)
+        m = s.machine
+        perm = np.random.default_rng(0).permutation(m.p).astype(np.int64)
+        Router(m).simulate(m.pids(), perm, np.ones(m.p))
         routes = s.tracer.find(name="route", category="route")
         assert routes
         assert any(r.rounds for r in routes)
@@ -210,20 +212,49 @@ class TestSpanTree:
     def test_cached_plan_replay_keeps_congestion_exact(self):
         """A plan-cache replay must report the same per-dim congestion the
         live routing loop would."""
+        from repro.embeddings.matrix import MatrixEmbedding
         from repro.embeddings.remap import transpose
+        from repro.machine.router import Router
 
-        def rounds_of(session):
+        def replayed_rounds(session):
             rng = np.random.default_rng(0)
             A = session.matrix(rng.standard_normal((8, 8)))
             span_ctx = session.tracer.span("probe", "test")
             with span_ctx as span:
                 transpose(A.pvar, A.embedding, same_grid=True)
                 transpose(A.pvar, A.embedding, same_grid=True)
+            return span.subtree_rounds(), A.embedding
+
+        def live_rounds(session, src):
+            # the same-grid transpose's deduplicated message multiset,
+            # routed live (cold cache, charged)
+            m = session.machine
+            dst = MatrixEmbedding(
+                m, src.C, src.R, row_dims=src.row_dims, col_dims=src.col_dims,
+            )
+            ii, jj = np.meshgrid(
+                np.arange(src.R), np.arange(src.C), indexing="ij"
+            )
+            src_pid = np.asarray(src.owner(ii.ravel(), jj.ravel()))
+            dst_pid = np.asarray(dst.owner(jj.ravel(), ii.ravel()))
+            moving = src_pid != dst_pid
+            pairs, counts = np.unique(
+                src_pid[moving] * m.p + dst_pid[moving], return_counts=True
+            )
+            span_ctx = session.tracer.span("probe", "test")
+            with span_ctx as span:
+                for _ in range(2):
+                    Router(m).simulate(
+                        pairs // m.p, pairs % m.p, counts.astype(np.float64)
+                    )
             return span.subtree_rounds()
 
-        live = Session(4, trace=True, plan_cache=False)
-        cached = Session(4, trace=True, plan_cache=True)
-        assert rounds_of(cached) == rounds_of(live)
+        cached, emb = replayed_rounds(Session(4, trace=True, plan_cache=True))
+        rebuilt, _ = replayed_rounds(Session(4, trace=True, plan_cache=False))
+        live = live_rounds(Session(4, trace=True, plan_cache=False), emb)
+        assert cached
+        assert cached == live
+        assert rebuilt == live
 
 
 class TestReport:

@@ -2,8 +2,10 @@
 
 The cache accelerates wall-clock simulation only: with the cache enabled,
 simulated ticks, every :class:`CostSnapshot` field and every functional
-result must be *bit-identical* to the cache-disabled run.  These tests pin
-that invariant on the iterative solvers and on a remap-heavy loop, and
+result must be *bit-identical* to the cache-disabled run (which rebuilds
+every plan along the same path).  These tests pin that invariant on the
+iterative solvers — bare and with ABFT, the sanitizer and a fail-stop fault
+plan attached — and on a remap-heavy loop, and
 cover the cache's lifecycle: per-machine invalidation, the environment
 kill-switch, LRU eviction and the observability counters.
 """
@@ -13,6 +15,7 @@ import pytest
 
 from repro import Session, workloads as W
 from repro.algorithms import gaussian, simplex
+from repro.faults import FaultPlan
 from repro.core import DistributedMatrix, DistributedVector
 from repro.embeddings import (
     ColAlignedEmbedding,
@@ -37,16 +40,16 @@ def assert_snapshots_identical(snap_on, snap_off):
         assert on == off, f"CostSnapshot.{field}: cache-on {on} != cache-off {off}"
 
 
-def run_gaussian(plan_cache):
+def run_gaussian(plan_cache, **opts):
     A, b, _ = W.diagonally_dominant_system(31, seed=7)
-    s = Session(6, plan_cache=plan_cache)
+    s = Session(6, plan_cache=plan_cache, **opts)
     res = gaussian.solve(s.matrix(A), b)
     return s.snapshot(), res.x, s
 
 
-def run_simplex(plan_cache):
+def run_simplex(plan_cache, **opts):
     lp = W.feasible_lp(16, 12, seed=3)
-    s = Session(6, plan_cache=plan_cache)
+    s = Session(6, plan_cache=plan_cache, **opts)
     res = simplex.solve(s.machine, lp.A, lp.b, lp.c)
     return s.snapshot(), res.x, s
 
@@ -83,17 +86,44 @@ def run_remap_loop(plan_cache):
     return machine.snapshot(), outputs, machine
 
 
-@pytest.mark.parametrize("runner", [run_gaussian, run_simplex],
-                         ids=["gaussian", "simplex"])
-def test_solvers_bit_identical(runner):
-    snap_on, x_on, s_on = runner(plan_cache=True)
-    snap_off, x_off, s_off = runner(plan_cache=False)
+def _fail_stop_faults(runner):
+    """A seeded fail-stop plan (two drops, one link kill) landing mid-run."""
+    horizon = runner(plan_cache=True)[0].time
+    return {"faults": FaultPlan.random(6, seed=11, horizon=horizon)}
+
+
+#: Observers attached to both runs of a cache on/off pair.  The ABFT wire
+#: word and the sanitizer's audits must not see which arm ran.
+OBSERVERS = {
+    "": lambda runner: {},
+    "abft": lambda runner: {"abft": True},
+    "abft-sanitize": lambda runner: {"abft": True, "sanitize": True},
+    "faults": _fail_stop_faults,
+}
+
+
+@pytest.mark.parametrize(
+    "runner, observers",
+    [
+        pytest.param(runner, obs, id=f"{name}-{obs}" if obs else name)
+        for obs in OBSERVERS
+        for name, runner in (("gaussian", run_gaussian),
+                             ("simplex", run_simplex))
+    ],
+)
+def test_solvers_bit_identical(runner, observers):
+    opts = OBSERVERS[observers](runner)
+    snap_on, x_on, s_on = runner(plan_cache=True, **opts)
+    snap_off, x_off, s_off = runner(plan_cache=False, **opts)
     assert_snapshots_identical(snap_on, snap_off)
     assert np.array_equal(x_on, x_off)
     # the enabled run actually exercised the cache; the disabled one didn't
     assert s_on.machine.plans.hits > 0
     assert s_off.machine.plans.hits == 0 and s_off.machine.plans.misses == 0
     assert len(s_off.machine.plans) == 0
+    if "faults" in opts:
+        assert s_on.machine.faults.stats.link_kills == 1
+        assert s_on.machine.faults.stats.drops > 0
 
 
 def test_remap_loop_bit_identical():

@@ -75,6 +75,49 @@ def test_lost_elements_are_caught():
         machine.charge_comm_round(4.0, dim=1)
 
 
+@pytest.mark.parametrize(
+    "plan_cache", [True, False], ids=["cache-on", "cache-off"]
+)
+def test_undercounted_remap_plan_is_caught(monkeypatch, plan_cache):
+    """A remap plan whose route stats under-count element hops is caught
+    when the plan is built, in both cache modes (a replay only checks that
+    it charged what the stats record)."""
+    from dataclasses import replace
+
+    from repro.embeddings import remap
+    from repro.machine.router import Router
+
+    class UndercountingRouter(Router):
+        def simulate(self, src, dst, sizes, charge=True):
+            stats = super().simulate(src, dst, sizes, charge=charge)
+            return replace(stats, element_hops=stats.element_hops - 1.0)
+
+    monkeypatch.setattr(remap, "Router", UndercountingRouter)
+    session = Session(4, sanitize=True, plan_cache=plan_cache)
+    A = session.matrix(np.arange(64.0).reshape(8, 8))
+    with pytest.raises(SanitizerError, match=r"route-conservation"):
+        remap.transpose(A.pvar, A.embedding, same_grid=True)
+
+
+@pytest.mark.parametrize(
+    "plan_cache", [True, False], ids=["cache-on", "cache-off"]
+)
+def test_remap_and_extract_audited_in_both_cache_modes(plan_cache):
+    from repro.embeddings.remap import transpose
+
+    session = Session(4, sanitize=True, plan_cache=plan_cache)
+    A = session.matrix(np.arange(64.0).reshape(8, 8))
+    for _ in range(3):
+        transpose(A.pvar, A.embedding, same_grid=True)
+    A.extract(axis=0, index=3)
+    checks = session.sanitizer.stats.checks
+    # one conservation audit per plan build: once with the cache, every
+    # call without it
+    assert checks.get("route", 0) == (1 if plan_cache else 3)
+    assert checks.get("route-replay-charge", 0) == 3
+    assert checks.get("broadcast", 0) >= 1
+
+
 def test_honest_machine_passes_selftest():
     report = sanitizer_selftest()
     assert report["passed"]
