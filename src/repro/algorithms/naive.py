@@ -29,14 +29,13 @@ import numpy as np
 
 from ..comm.ops import CombineOp, get_op
 from ..machine.hypercube import Hypercube
+from ..machine.kernels import INT64_MAX, slot_reduce
 from ..machine.pvar import PVar
 from ..core import primitives
 from ..core.arrays import DistributedMatrix, DistributedVector
 from ..embeddings.gray import deposit_bits
 from ..embeddings.vector import _AlignedEmbedding
 from ..errors import EmbeddingError
-
-INT64_MAX = np.iinfo(np.int64).max
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +130,7 @@ class NaiveVector(DistributedVector):
         if not mask.all():
             data = np.where(mask, data, op.identity(self.dtype))
             machine.charge_local(self.pvar.local_size)
-        local = op.ufunc.reduce(data, axis=1)
+        local = slot_reduce(op.ufunc, data, 1)
         machine.charge_flops(max(self.pvar.local_size - 1, 0))
         dims = self._reduce_dims()
         sends = _charge_serial(machine, 1.0, dims)
@@ -144,23 +143,7 @@ class NaiveVector(DistributedVector):
         self, mode: str = "max", valid: Optional[DistributedVector] = None
     ) -> Tuple[float, int]:
         machine = self.machine
-        op = get_op("max" if mode == "max" else "min")
-        mask = self.embedding.valid_mask()
-        if valid is not None:
-            if not self.embedding.compatible(valid.embedding):
-                raise EmbeddingError("valid mask must share the vector's embedding")
-            mask = mask & valid.pvar.data.astype(bool)
-            machine.charge_flops(self.pvar.local_size)
-        ident = op.identity(self.dtype)
-        data = np.where(mask, self.pvar.data, ident)
-        machine.charge_local(self.pvar.local_size)
-        gidx = np.where(mask, self.embedding.global_indices(), INT64_MAX)
-        best_val = data.max(axis=1) if mode == "max" else data.min(axis=1)
-        machine.charge_flops(self.pvar.local_size)
-        extreme = data == best_val[:, None]
-        best_idx = np.where(extreme, gidx, INT64_MAX).min(axis=1)
-        machine.charge_flops(self.pvar.local_size)
-        best_idx = np.where(best_val == ident, INT64_MAX, best_idx)
+        best_val, best_idx = self._local_argreduce(mode, valid)
 
         dims = self._reduce_dims()
         sends = _charge_serial(machine, 2.0, dims)  # (value, index) pairs

@@ -149,7 +149,7 @@ def broadcast(
         root_pid = _root_pid_map(machine, dims, root_rank)
         for d in dims:
             machine.charge_comm_round(pvar.local_size, dim=d)
-        out = PVar(machine, pvar.data[root_pid])
+        out = PVar(machine, pvar.data.take(root_pid, axis=0))
         sanitizer = machine.sanitizer
         if sanitizer is not None:
             sanitizer.audit_broadcast(
@@ -552,7 +552,7 @@ def broadcast_pipelined(
         machine.charge_comm_round(piece, rounds=2 * k - 1)
         # functional result: everyone gets the root's block
         root_pid = _root_pid_map(machine, dims, root_rank)
-        out = PVar(machine, pvar.data[root_pid])
+        out = PVar(machine, pvar.data.take(root_pid, axis=0))
         sanitizer = machine.sanitizer
         if sanitizer is not None:
             sanitizer.audit_broadcast(

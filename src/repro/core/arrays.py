@@ -22,6 +22,7 @@ from .. import comm
 from ..comm.ops import CombineOp, get_op
 from ..errors import ConfigError, EmbeddingError, ShapeError
 from ..machine.hypercube import Hypercube
+from ..machine.kernels import INT64_MAX, masked_arg_extreme, slot_reduce
 from ..machine.pvar import PVar
 from ..embeddings.matrix import MatrixEmbedding
 from ..embeddings.remap import redistribute_matrix, remap_vector
@@ -34,8 +35,6 @@ from ..embeddings.vector import (
 from . import primitives
 
 Scalar = Union[int, float, bool, np.generic]
-
-INT64_MAX = np.iinfo(np.int64).max
 
 
 class DistributedVector:
@@ -209,14 +208,7 @@ class DistributedVector:
             data = np.where(mask, data, op.identity(self.dtype))
             machine.charge_local(self.pvar.local_size)
         if self.pvar.local_shape:
-            if machine.n_runs is not None:
-                # Reduce a contiguous copy with the run axis moved inward:
-                # per lane this reproduces the scalar path's (pairwise)
-                # accumulation order bit-for-bit.
-                moved = np.ascontiguousarray(np.moveaxis(data, 1, -1))
-                local = op.ufunc.reduce(moved, axis=-1)
-            else:
-                local = op.ufunc.reduce(data, axis=1)
+            local = slot_reduce(op.ufunc, data, 1, machine.n_runs is not None)
             machine.charge_flops(max(self.pvar.local_size - 1, 0))
         else:
             local = data
@@ -244,37 +236,7 @@ class DistributedVector:
         same embedding); with no candidate at all the returned index is -1.
         """
         machine = self.machine
-        op = get_op("max" if mode == "max" else "min")
-        mask = self.embedding.valid_mask()
-        if self.pvar.data.ndim > mask.ndim:
-            mask = mask[..., None]  # broadcast over the run axis
-        if valid is not None:
-            if not self.embedding.compatible(valid.embedding):
-                raise EmbeddingError(
-                    f"valid mask must share the vector's embedding: "
-                    f"{self.embedding.signature()} vs "
-                    f"{valid.embedding.signature()}"
-                )
-            mask = mask & valid.pvar.data.astype(bool)
-            machine.charge_flops(self.pvar.local_size)
-        ident = op.identity(self.dtype)
-        data = np.where(mask, self.pvar.data, ident)
-        machine.charge_local(self.pvar.local_size)
-        gi = self.embedding.global_indices()
-        if data.ndim > gi.ndim:
-            gi = gi[..., None]
-        gidx = np.where(mask, gi, INT64_MAX)
-        # Local arg-reduce over the (p, capacity) block: one serial scan,
-        # ties to the smallest global index.
-        if mode == "max":
-            best_val = data.max(axis=1)
-        else:
-            best_val = data.min(axis=1)
-        machine.charge_flops(self.pvar.local_size)
-        extreme = data == np.expand_dims(best_val, 1)
-        best_idx = np.where(extreme, gidx, INT64_MAX).min(axis=1)
-        machine.charge_flops(self.pvar.local_size)
-        best_idx = np.where(best_val == ident, INT64_MAX, best_idx)
+        best_val, best_idx = self._local_argreduce(mode, valid)
         val_pv, idx_pv = comm.reduce_all_loc(
             machine,
             PVar(machine, best_val),
@@ -293,6 +255,39 @@ class DistributedVector:
         if index == INT64_MAX:
             index = -1
         return value, index
+
+    def _local_argreduce(
+        self, mode: str, valid: Optional["DistributedVector"]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-processor (extreme, smallest global index) over the valid
+        candidates of the local block; ``INT64_MAX`` where there is none."""
+        machine = self.machine
+        op = get_op("max" if mode == "max" else "min")
+        mask = self.embedding.valid_mask()
+        if self.pvar.data.ndim > mask.ndim:
+            mask = mask[..., None]  # broadcast over the run axis
+        if valid is not None:
+            if not self.embedding.compatible(valid.embedding):
+                raise EmbeddingError(
+                    f"valid mask must share the vector's embedding: "
+                    f"{self.embedding.signature()} vs "
+                    f"{valid.embedding.signature()}"
+                )
+            mask = mask & valid.pvar.data.astype(bool)
+            machine.charge_flops(self.pvar.local_size)
+        values = self.pvar.data  # read before the charge (copy-on-corrupt faults)
+        machine.charge_local(self.pvar.local_size)
+        gi = self.embedding.global_indices()
+        if values.ndim > gi.ndim:
+            gi = gi[..., None]
+        # One serial scan for the extreme, one for the smallest global
+        # index attaining it.
+        best = masked_arg_extreme(
+            op.ufunc, values, mask, gi, 1, op.identity(values.dtype)
+        )
+        machine.charge_flops(self.pvar.local_size)
+        machine.charge_flops(self.pvar.local_size)
+        return best
 
     def argmax(self) -> Tuple[float, int]:
         return self.argreduce("max")

@@ -47,6 +47,13 @@ import numpy as np
 from .. import comm
 from ..comm.collectives import _root_pid_map
 from ..comm.ops import CombineOp, get_op
+from ..machine.kernels import (
+    INT64_MAX,
+    gather_slice,
+    masked_arg_extreme,
+    slot_reduce,
+)
+from ..machine.plans import readonly
 from ..machine.pvar import PVar
 from ..machine.router import Router
 from ..obs.tracer import maybe_span
@@ -61,8 +68,6 @@ from ..embeddings.vector import (
 from ..errors import ConfigError, EmbeddingError, ShapeError
 
 Axis = int
-
-INT64_MAX = np.iinfo(np.int64).max
 
 
 def _check_axis(axis: Axis) -> int:
@@ -103,6 +108,19 @@ def _slice_owner(emb: MatrixEmbedding, axis: Axis, index: int) -> Tuple[int, int
     return int(owners[index]), int(slots[index])
 
 
+def _band_pids(emb: MatrixEmbedding, axis: Axis, grid_coord: int) -> np.ndarray:
+    """Processors of the grid band owning the axis-``axis`` slices at grid
+    coordinate ``grid_coord`` (read-only, memoized per signature)."""
+
+    def build() -> np.ndarray:
+        grid = emb.grid_coords()[0 if axis == 0 else 1]
+        return readonly(np.flatnonzero(grid == grid_coord))
+
+    return emb.machine.plans.memo(
+        ("band-pids", emb.signature(), axis, grid_coord), build
+    )
+
+
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------
@@ -127,19 +145,20 @@ def extract(
         axis=axis, index=index, replicate=replicate,
     ):
         grid_coord, slot = _slice_owner(emb, axis, index)
-        grid_r, grid_c = emb.grid_coords()
-
+        # Read the block before charging: a fault firing on a charge
+        # replaces (copy-on-corrupt) but never touches this array.
+        data = pvar.data
         if axis == 0:
-            local = pvar.data[:, slot, :]
+            local = data[:, slot, :]
         else:
-            local = pvar.data[:, :, slot]
+            local = data[:, :, slot]
 
         vec_emb = _aligned_embedding(emb, axis, resident=grid_coord)
 
         if not replicate:
-            in_band = (grid_r if axis == 0 else grid_c) == grid_coord
-            band = in_band.reshape((machine.p,) + (1,) * (local.ndim - 1))
-            out = np.where(band, local, np.zeros((), dtype=local.dtype))
+            pids = _band_pids(emb, axis, grid_coord)
+            out = np.zeros(local.shape, dtype=local.dtype)
+            out[pids] = gather_slice(data, pids, axis + 1, slot)
             machine.charge_local(local.shape[1])
             return PVar(machine, out), vec_emb
 
@@ -154,7 +173,7 @@ def extract(
         share = max(local.shape[1], 1)
         for d in across:
             machine.charge_comm_round(share, dim=d)
-        out = local[root_pid]
+        out = gather_slice(data, root_pid, axis + 1, slot)
         sanitizer = machine.sanitizer
         if sanitizer is not None:
             sanitizer.audit_broadcast(machine, across, root_rank, local, out)
@@ -205,14 +224,12 @@ def insert(
                 vec = remap_vector(vec, vec_emb, target_emb)
                 vec_emb = target_emb
 
-        grid_r, grid_c = emb.grid_coords()
+        pids = _band_pids(emb, axis, grid_coord)
         out = pvar.data.copy()
         if axis == 0:
-            band = grid_r == grid_coord
-            out[band, slot, :] = vec.data[band]
+            out[pids, slot, :] = vec.data.take(pids, axis=0)
         else:
-            band = grid_c == grid_coord
-            out[band, :, slot] = vec.data[band]
+            out[pids, :, slot] = vec.data.take(pids, axis=0)
         machine.charge_local(vec.local_size)
         return PVar(machine, out)
 
@@ -319,21 +336,13 @@ def local_reduce(
     machine = emb.machine
     data = _masked_for_reduce(pvar, emb, op)
 
+    batched = machine.n_runs is not None
     if axis == 1:
         # combine across columns -> length-R vector aligned with rows
-        if machine.n_runs is not None:
-            # The scalar path reduces its contiguous last axis, where NumPy
-            # applies pairwise summation; reduce a contiguous copy with the
-            # run axis moved inward so every lane reproduces that
-            # accumulation order bit-for-bit.
-            moved = np.ascontiguousarray(np.moveaxis(data, 2, -1))
-            red = op.ufunc.reduce(moved, axis=-1)
-        else:
-            red = op.ufunc.reduce(data, axis=2)
-        reduced = PVar(machine, red)
+        reduced = PVar(machine, slot_reduce(op.ufunc, data, 2, batched))
         machine.charge_flops(max(pvar.local_size - pvar.data.shape[1], 0))
         return reduced, emb.col_dims, _aligned_embedding(emb, 1, None)
-    reduced = PVar(machine, op.ufunc.reduce(data, axis=1))
+    reduced = PVar(machine, slot_reduce(op.ufunc, data, 1, batched))
     machine.charge_flops(max(pvar.local_size - pvar.data.shape[2], 0))
     return reduced, emb.row_dims, _aligned_embedding(emb, 0, None)
 
@@ -372,7 +381,7 @@ def local_reduce_loc(
     smallest *global* index) and returns per-processor (value, index)
     partials, the cube dimensions still to combine, and the final
     embedding.  Absent candidates carry the op identity and an INT64-max
-    index sentinel.
+    index sentinel; a candidate equal to the identity keeps its index.
     """
     _check_axis(axis)
     if mode not in ("max", "min"):
@@ -388,8 +397,7 @@ def local_reduce_loc(
             raise ShapeError("valid mask must match the matrix local shape")
         mask = mask & valid.data.astype(bool)
         machine.charge_flops(pvar.local_size)
-    ident = op.identity(pvar.dtype)
-    data = np.where(mask, pvar.data, ident)
+    values = pvar.data  # read before the charge (copy-on-corrupt faults)
     machine.charge_local(pvar.local_size)
 
     # Global index of every local slot along the reduced axis (wired-in
@@ -400,30 +408,16 @@ def local_reduce_loc(
     else:
         base = emb.global_rows()[:, :, None]
         local_axis = 1
-    base = base.reshape(base.shape + (1,) * (data.ndim - base.ndim))
-    gidx = np.broadcast_to(base, data.shape)
-    gidx = np.where(mask, gidx, INT64_MAX)
+    base = base.reshape(base.shape + (1,) * (values.ndim - base.ndim))
 
-    # Local arg-reduce: a serial scan over the local block.
-    if mode == "max":
-        best_slot = np.argmax(data, axis=local_axis)
-    else:
-        best_slot = np.argmin(data, axis=local_axis)
+    # Local arg-reduce: a serial scan for the extreme, then one for the
+    # smallest global index attaining it ("first local slot" is not
+    # "smallest global index" under cyclic layouts).
+    best_val, best_idx = masked_arg_extreme(
+        op.ufunc, values, mask, base, local_axis, op.identity(values.dtype)
+    )
     machine.charge_flops(pvar.local_size)
-    best_val = np.take_along_axis(
-        data, np.expand_dims(best_slot, local_axis), local_axis
-    ).squeeze(local_axis)
-    best_idx = np.take_along_axis(
-        gidx, np.expand_dims(best_slot, local_axis), local_axis
-    ).squeeze(local_axis)
-    # argmax/argmin pick the first extremal slot, but "first local slot"
-    # is not "smallest global index" under cyclic layouts or across the
-    # subcube; reduce_all_loc enforces the global tie-break, and we fix the
-    # local tie-break by re-scanning for the smallest index among ties.
-    extreme = np.expand_dims(best_val, local_axis) == data
-    tie_idx = np.where(extreme, gidx, INT64_MAX).min(axis=local_axis)
     machine.charge_flops(pvar.local_size)
-    best_idx = np.where(best_val == ident, INT64_MAX, tie_idx)
 
     val_pv = PVar(machine, best_val)
     idx_pv = PVar(machine, best_idx)

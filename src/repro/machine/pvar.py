@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Tuple, Union
 
 import numpy as np
 from ..errors import ConfigError, ShapeError
+from .kernels import slot_reduce
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .hypercube import Hypercube
@@ -210,16 +211,19 @@ class PVar:
         rhs = self._coerce(other)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = fn(self.data, rhs)
-        result = PVar(self.machine, out)
-        self.machine.charge_flops(
-            max(self.local_size, _machine_local_size(self.machine, out.shape))
-        )
-        return result
+        return self._charged(out)
 
     def _rbinary(self, other: "PVarOrScalar", fn: Callable[..., np.ndarray]) -> "PVar":
         rhs = self._coerce(other)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = fn(rhs, self.data)
+        return self._charged(out)
+
+    def _logical(self, other: "PVarOrScalar", fn: Callable[..., np.ndarray]) -> "PVar":
+        # Logical ops raise no floating-point warnings: no errstate entry.
+        return self._charged(fn(self.data, self._coerce(other)))
+
+    def _charged(self, out: np.ndarray) -> "PVar":
         result = PVar(self.machine, out)
         self.machine.charge_flops(
             max(self.local_size, _machine_local_size(self.machine, out.shape))
@@ -303,16 +307,17 @@ class PVar:
 
     # logical (boolean PVars)
     def __and__(self, other: "PVarOrScalar") -> "PVar":
-        return self._binary(other, np.logical_and)
+        return self._logical(other, np.logical_and)
 
     def __or__(self, other: "PVarOrScalar") -> "PVar":
-        return self._binary(other, np.logical_or)
+        return self._logical(other, np.logical_or)
 
     def __xor__(self, other: "PVarOrScalar") -> "PVar":
-        return self._binary(other, np.logical_xor)
+        return self._logical(other, np.logical_xor)
 
     def __invert__(self) -> "PVar":
-        return self._unary(np.logical_not)
+        self.machine.charge_flops(self.local_size)
+        return PVar(self.machine, np.logical_not(self.data))
 
     def minimum(self, other: "PVarOrScalar") -> "PVar":
         return self._binary(other, np.minimum)
@@ -330,47 +335,45 @@ class PVar:
 
     # -- local (intra-processor) reductions -----------------------------------
 
-    def _local_reduce(self, fn: Callable[..., np.ndarray], axis: int) -> "PVar":
+    def _charge_local_reduce(self, axis: int) -> int:
+        """Charge a reduction over local ``axis``; return its data axis."""
         if not self.local_shape:
             raise ShapeError("cannot locally reduce a scalar PVar")
         # A tree reduction over k local elements costs k-1 combining steps
         # executed serially by each (physical) processor.
         self.machine.charge_flops(max(self.local_size - self.local_size // self.local_shape[axis], 0))
-        n_runs = self.machine.n_runs
-        red = axis + 1
-        if n_runs is not None and red == self.data.ndim - 2:
-            # The reduced axis is the one the scalar path reduces as its
-            # (contiguous) last axis.  NumPy's pairwise summation only
-            # engages on contiguous inner reductions, so reduce a
-            # contiguous copy with the run axis moved inward — per lane
-            # this is the scalar path's accumulation order bit-for-bit.
-            moved = np.ascontiguousarray(np.moveaxis(self.data, red, -1))
-            return PVar(self.machine, fn(moved, axis=-1))
-        return PVar(self.machine, fn(self.data, axis=red))
+        return axis + 1
+
+    def _local_reduce(self, ufunc: Callable[..., np.ndarray], axis: int) -> "PVar":
+        red = self._charge_local_reduce(axis)
+        out = slot_reduce(ufunc, self.data, red, self.machine.n_runs is not None)
+        return PVar(self.machine, out)
 
     def local_sum(self, axis: int = 0) -> "PVar":
-        return self._local_reduce(np.sum, axis)
+        return self._local_reduce(np.add, axis)
 
     def local_prod(self, axis: int = 0) -> "PVar":
-        return self._local_reduce(np.prod, axis)
+        return self._local_reduce(np.multiply, axis)
 
     def local_min(self, axis: int = 0) -> "PVar":
-        return self._local_reduce(np.min, axis)
+        return self._local_reduce(np.minimum, axis)
 
     def local_max(self, axis: int = 0) -> "PVar":
-        return self._local_reduce(np.max, axis)
+        return self._local_reduce(np.maximum, axis)
 
     def local_any(self, axis: int = 0) -> "PVar":
-        return self._local_reduce(np.any, axis)
+        return self._local_reduce(np.logical_or, axis)
 
     def local_all(self, axis: int = 0) -> "PVar":
-        return self._local_reduce(np.all, axis)
+        return self._local_reduce(np.logical_and, axis)
 
     def local_argmax(self, axis: int = 0) -> "PVar":
-        return self._local_reduce(np.argmax, axis)
+        red = self._charge_local_reduce(axis)
+        return PVar(self.machine, np.argmax(self.data, axis=red))
 
     def local_argmin(self, axis: int = 0) -> "PVar":
-        return self._local_reduce(np.argmin, axis)
+        red = self._charge_local_reduce(axis)
+        return PVar(self.machine, np.argmin(self.data, axis=red))
 
     # -- misc -----------------------------------------------------------------
 
