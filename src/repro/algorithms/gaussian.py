@@ -33,7 +33,11 @@ On top of the factorisation: :func:`solve` (one RHS), :func:`solve_multi`
 
 The functions take any :class:`~repro.core.arrays.DistributedMatrix`
 subclass, so the naive baseline runs the *identical* algorithm text with
-its own primitive implementations.
+its own primitive implementations.  :func:`eliminate`,
+:func:`back_substitute` and :func:`solve` also run on a batched machine
+(:mod:`repro.batch`, ``'partial'`` or ``'none'`` pivoting): the row swap
+and the host-side pivot tests go through :mod:`.lanes`, so each lane
+takes its own pivots and stays bit-identical to a scalar run.
 """
 
 from __future__ import annotations
@@ -44,8 +48,12 @@ from typing import List, Optional
 import numpy as np
 
 from ..machine.counters import CostSnapshot
-from ..core.arrays import DistributedMatrix, iota
+from ..core.arrays import DistributedMatrix, DistributedVector, iota
 from ..errors import ConfigError, ShapeError
+from .lanes import (
+    any_lane, extract_at, from_host, get_at, host_value, immediate,
+    insert_at, lane_shape, merge, to_host,
+)
 
 PIVOTING_MODES = ("partial", "implicit", "none")
 
@@ -87,27 +95,16 @@ class Elimination:
 
     def permutation_sign(self) -> float:
         """Parity of the pivot permutation (the determinant's sign factor)."""
-        if self.pivoting == "implicit":
-            perm = list(self.pivots)
-        else:
-            perm = list(range(len(self.pivots)))
-            for k, piv in enumerate(self.pivots):
-                if piv != k:
-                    perm[k], perm[piv] = perm[piv], perm[k]
-        sign = 1.0
-        seen = [False] * len(perm)
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        if self.pivoting != "implicit":  # one transposition per row swap
+            swaps = sum(piv != k for k, piv in enumerate(self.pivots))
+        else:  # sort the row permutation by transpositions, counting them
+            perm, swaps = list(self.pivots), 0
+            for i in range(len(perm)):
+                while perm[i] != i:
+                    j = perm[i]
+                    perm[i], perm[j] = perm[j], j
+                    swaps += 1
+        return -1.0 if swaps % 2 else 1.0
 
 
 def eliminate(
@@ -131,10 +128,11 @@ def eliminate(
     pivot_values)`` fires after each completed step with ``k`` steps done
     and the *current* tableau — checkpoint hooks save from here.
     """
-    if pivoting not in PIVOTING_MODES:
-        raise ConfigError(
-            f"pivoting must be one of {PIVOTING_MODES}, got {pivoting!r}"
-        )
+    machine = T.machine
+    # A batched machine shares one row order across lanes: no 'implicit'.
+    modes = PIVOTING_MODES if machine.n_runs is None else ("partial", "none")
+    if pivoting not in modes:
+        raise ConfigError(f"pivoting must be one of {modes}, got {pivoting!r}")
     n, w = T.shape
     if w < n:
         raise ShapeError("tableau must have at least as many columns as rows")
@@ -147,7 +145,6 @@ def eliminate(
             f"resuming at step {start} requires {start} prior pivots/values, "
             f"got {len(pivots)}/{len(pivot_values)}"
         )
-    machine = T.machine
     row_iota = None
     not_pivoted = None  # implicit mode: rows still awaiting their pivot
 
@@ -162,46 +159,43 @@ def eliminate(
                     not_pivoted = row_iota >= 0
                     for used in pivots:
                         not_pivoted = not_pivoted & ~row_iota.eq(int(used))
-            if pivoting == "partial":
-                candidates = row_iota >= k
-            elif pivoting == "implicit":
-                candidates = not_pivoted
-            else:
-                candidates = None
             if pivoting == "none":
                 prow = k
                 pval = col.get_global(k)
-                if abs(pval) <= tol:
+                if any_lane(abs(pval) <= tol):
                     raise SingularMatrixError(
                         f"zero diagonal at step {k} with pivoting='none'"
                     )
             else:
+                if pivoting == "partial":
+                    candidates = row_iota >= k
+                else:
+                    candidates = not_pivoted
                 pval, prow = abs(col).argreduce("max", valid=candidates)
-                if prow < 0 or abs(pval) <= tol:
+                if any_lane(prow < 0) or any_lane(abs(pval) <= tol):
                     raise SingularMatrixError(
                         f"no pivot above tolerance at elimination step {k}"
                     )
-        pivots.append(int(prow))
+        pivots.append(host_value(machine, prow, int))
 
-        if pivoting == "partial" and prow != k:
-            with machine.phase("row-swap"):
-                rk = T.extract(axis=0, index=k)
-                rp = T.extract(axis=0, index=prow)
-                T = T.insert(axis=0, index=k, vector=rp)
-                T = T.insert(axis=0, index=prow, vector=rk)
+        if pivoting == "partial":
+            swap = prow != k  # per lane on a batched machine
+            if any_lane(swap):
+                with machine.phase("row-swap"):
+                    T = _swap_rows(T, k, prow, swap)
             prow = k
 
         with machine.phase("update"):
             pivot_row = T.extract(axis=0, index=int(prow))
             pivot_val = pivot_row.get_global(k)
-            pivot_values.append(float(pivot_val))
+            pivot_values.append(host_value(machine, pivot_val))
             col = T.extract(axis=1, index=k)
             if pivoting == "implicit":
                 below = not_pivoted & ~row_iota.eq(int(prow))
                 not_pivoted = not_pivoted & ~row_iota.eq(int(prow))
             else:
                 below = row_iota > k
-            mults = below.where(col / pivot_val, 0.0)
+            mults = below.where(col / immediate(machine, pivot_val), 0.0)
             T = T.sub_outer(mults, pivot_row)
             # The eliminated column is exactly zero in those rows in real
             # arithmetic; enforce it so round-off cannot leak into later
@@ -211,6 +205,40 @@ def eliminate(
         if on_step is not None:
             on_step(k + 1, T, pivots, pivot_values)
     return Elimination(T, pivots, pivot_values, pivoting)
+
+
+def _swap_rows(T: DistributedMatrix, k: int, prow: int, act=None):
+    """Exchange rows ``k`` and ``prow``: two extracts, two inserts."""
+    rk = extract_at(T, 0, k, act)
+    rp = extract_at(T, 0, prow, act)
+    T = insert_at(T, 0, k, rp, act)
+    return insert_at(T, 0, prow, rk, act)
+
+
+def jordan_pivot(
+    T: DistributedMatrix,
+    r: int,
+    j: int,
+    row_iota: DistributedVector,
+    act=None,
+) -> DistributedMatrix:
+    """Pivot on ``(r, j)``: the Gauss-Jordan (and simplex) step.
+
+    Scales row ``r`` to a unit pivot, eliminates column ``j`` from the
+    other rows (one rank-1 update) and pins it to the exact unit vector,
+    so round-off cannot accumulate there.  Per lane in ``act`` if batched.
+    """
+    machine = T.machine
+    prow = extract_at(T, 0, r, act)
+    pval = get_at(prow, j, act)
+    prow = prow * immediate(machine, 1.0 / pval)
+    T = insert_at(T, 0, r, prow, act)
+    col = extract_at(T, 1, j, act)
+    not_r = ~row_iota.eq(immediate(machine, r))
+    mcol = not_r.where(col, 0.0)
+    T = merge(T.sub_outer(mcol, prow), T, act)
+    unit = row_iota.eq(immediate(machine, r)).where(1.0, 0.0)
+    return insert_at(T, 1, j, unit, act)
 
 
 def back_substitute(
@@ -239,7 +267,7 @@ def back_substitute(
             "expected an n x (n+k) tableau"
         )
     machine = T.machine
-    x = np.zeros(n)
+    x = np.zeros(lane_shape(machine, n))
     with machine.phase("back-substitution"):
         rhs = T.extract(axis=1, index=rhs_col)
         row_iota = iota(rhs.embedding)
@@ -247,17 +275,55 @@ def back_substitute(
         for k in range(n - 1, -1, -1):
             r = elim.row_of_step(k)
             diag = T.get_global(r, k)
-            if abs(diag) <= tol:
+            if any_lane(abs(diag) <= tol):
                 raise SingularMatrixError(
                     f"zero diagonal at back-substitution step {k}"
                 )
             xk = rhs.get_global(r) / diag
-            x[k] = xk
+            x[..., k] = xk
             pending = pending & ~row_iota.eq(r)
             if k:
                 colk = T.extract(axis=1, index=k)
-                rhs = rhs - pending.where(colk, 0.0) * xk
+                rhs = rhs - pending.where(colk, 0.0) * immediate(machine, xk)
     return x
+
+
+def _order(A: DistributedMatrix) -> int:
+    n, n2 = A.shape
+    if n != n2:
+        raise ShapeError(f"A must be square, got {A.shape}")
+    return n
+
+
+def _rhs_column(A: DistributedMatrix, b: np.ndarray) -> np.ndarray:
+    """Host ``b`` as one right-hand-side column (per lane if batched)."""
+    want = lane_shape(A.machine, _order(A))
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != want:
+        raise ShapeError(f"b must have shape {want}, got {b.shape}")
+    return b[..., None]
+
+
+def _augmented(A: DistributedMatrix, rhs: np.ndarray) -> DistributedMatrix:
+    """``[A | rhs]`` in a fresh aspect-matched embedding.
+
+    Assembling it on the host is front-end set-up, the same untimed load
+    the paper's timings exclude.
+    """
+    host = np.concatenate([to_host(A), rhs], axis=-1)
+    return from_host(type(A), A.machine, host)
+
+
+def _factor_solve(A, rhs, pivoting, tol):
+    """Eliminate ``[A | rhs]`` once, back-substitute every RHS column."""
+    n = _order(A)
+    machine = A.machine
+    T = _augmented(A, rhs)
+    start = machine.snapshot()
+    with machine.phase("gaussian"):
+        elim = eliminate(T, pivoting=pivoting, tol=tol)
+        xs = [back_substitute(elim, n + j, tol) for j in range(rhs.shape[-1])]
+    return elim, xs, machine.elapsed_since(start)
 
 
 def solve(
@@ -270,29 +336,15 @@ def solve(
     """Solve ``A x = b`` for a distributed square ``A`` and host ``b``.
 
     Builds the augmented ``[A | b]`` tableau in a fresh aspect-matched
-    embedding, then forward elimination + back substitution.
+    embedding, then forward elimination + back substitution.  On a batched
+    machine ``b`` is ``(n_runs, n)`` and the result's ``x`` and ``pivots``
+    carry one row / one ``(n_runs,)`` entry per lane.
     """
-    n, n2 = A.shape
-    if n != n2:
-        raise ShapeError(f"A must be square, got {A.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b.shape}")
-    machine = A.machine
-
-    # Augment on the host: assembling [A | b] is front-end set-up, the same
-    # untimed load the paper's timings exclude.
-    host_T = np.hstack([A.to_numpy(), b[:, None]])
-    T = type(A).from_numpy(machine, host_T)
-
-    start = machine.snapshot()
-    with machine.phase("gaussian"):
-        elim = eliminate(T, pivoting=pivoting, tol=tol)
-        x = back_substitute(elim, tol=tol)
+    elim, (x,), cost = _factor_solve(A, _rhs_column(A, b), pivoting, tol)
     return GaussianResult(
         x=x,
         pivots=elim.pivots,
-        cost=machine.elapsed_since(start),
+        cost=cost,
         tableau=elim.tableau if keep_tableau else None,
     )
 
@@ -308,31 +360,14 @@ def solve_multi(
     Eliminates the blocked tableau ``[A | B]`` once (the RHS columns ride
     through the rank-1 updates for free) and back-substitutes each column.
     """
-    n, n2 = A.shape
-    if n != n2:
-        raise ShapeError(f"A must be square, got {A.shape}")
+    n = _order(A)
     B = np.asarray(B, dtype=np.float64)
     if B.ndim == 1:
         B = B[:, None]
     if B.shape[0] != n:
         raise ShapeError(f"B must have {n} rows, got {B.shape}")
-    machine = A.machine
-    k = B.shape[1]
-
-    host_T = np.hstack([A.to_numpy(), B])
-    T = type(A).from_numpy(machine, host_T)
-
-    start = machine.snapshot()
-    with machine.phase("gaussian"):
-        elim = eliminate(T, pivoting=pivoting, tol=tol)
-        X = np.column_stack(
-            [back_substitute(elim, rhs_col=n + j, tol=tol) for j in range(k)]
-        )
-    return GaussianResult(
-        x=X,
-        pivots=elim.pivots,
-        cost=machine.elapsed_since(start),
-    )
+    elim, xs, cost = _factor_solve(A, B, pivoting, tol)
+    return GaussianResult(x=np.column_stack(xs), pivots=elim.pivots, cost=cost)
 
 
 def invert(
@@ -341,10 +376,7 @@ def invert(
     tol: float = 1e-12,
 ) -> GaussianResult:
     """The matrix inverse via ``solve_multi(A, I)``."""
-    n, n2 = A.shape
-    if n != n2:
-        raise ShapeError(f"A must be square, got {A.shape}")
-    return solve_multi(A, np.eye(n), pivoting=pivoting, tol=tol)
+    return solve_multi(A, np.eye(_order(A)), pivoting=pivoting, tol=tol)
 
 
 def determinant(
@@ -355,9 +387,7 @@ def determinant(
 
     Returns 0.0 for (numerically) singular matrices.
     """
-    n, n2 = A.shape
-    if n != n2:
-        raise ShapeError(f"A must be square, got {A.shape}")
+    _order(A)
     machine = A.machine
     T = type(A).from_numpy(machine, A.to_numpy())
     with machine.phase("gaussian"):
@@ -385,15 +415,9 @@ def gauss_jordan(
     dominate, i.e. small n on large p).  Partial pivoting with physical
     row swaps.
     """
-    n, n2 = A.shape
-    if n != n2:
-        raise ShapeError(f"A must be square, got {A.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b.shape}")
+    T = _augmented(A, _rhs_column(A, b))
+    n = T.shape[0]
     machine = A.machine
-    host_T = np.hstack([A.to_numpy(), b[:, None]])
-    T = type(A).from_numpy(machine, host_T)
     pivots: List[int] = []
     row_iota = None
 
@@ -412,21 +436,9 @@ def gauss_jordan(
             pivots.append(int(prow))
             if prow != k:
                 with machine.phase("row-swap"):
-                    rk = T.extract(axis=0, index=k)
-                    rp = T.extract(axis=0, index=int(prow))
-                    T = T.insert(axis=0, index=k, vector=rp)
-                    T = T.insert(axis=0, index=int(prow), vector=rk)
+                    T = _swap_rows(T, k, prow)
             with machine.phase("update"):
-                pivot_row = T.extract(axis=0, index=k)
-                pivot_val = pivot_row.get_global(k)
-                pivot_row = pivot_row * (1.0 / pivot_val)
-                T = T.insert(axis=0, index=k, vector=pivot_row)
-                col = T.extract(axis=1, index=k)
-                others = ~row_iota.eq(k)
-                mults = others.where(col, 0.0)
-                T = T.sub_outer(mults, pivot_row)
-                unit = row_iota.eq(k).where(1.0, 0.0)
-                T = T.insert(axis=1, index=k, vector=unit)
+                T = jordan_pivot(T, k, k, row_iota)
         x_vec = T.extract(axis=1, index=n)
     x = x_vec.to_numpy()
     return GaussianResult(

@@ -23,6 +23,12 @@ comes from.
 Rows with ``b_i < 0`` are sign-flipped and given artificial variables;
 phase I maximises minus their sum (carrying the phase II objective row in
 the tableau so it stays canonical for free).
+
+The same text runs ``n_runs`` LPs as lanes of a batched machine
+(:mod:`repro.batch`) when ``b >= 0`` in every lane, so that there is no
+phase I.  Each lane picks its own entering column and leaving row through
+:mod:`.lanes`, and stops on its own: a finished lane charges nothing
+while the others keep pivoting.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ from ..machine.counters import CostSnapshot
 from ..machine.hypercube import Hypercube
 from ..core.arrays import DistributedMatrix, DistributedVector, iota
 from ..errors import ConfigError, ShapeError
+from .gaussian import jordan_pivot
+from .lanes import (
+    LaneStatus, extract_at, from_host, host_value, lane_shape, set_at,
+    to_host,
+)
 
 Status = str  # 'optimal' | 'unbounded' | 'infeasible' | 'iteration_limit'
 
@@ -69,7 +80,7 @@ class _Tableau:
     n: int            # original variables
     n_slack: int
     n_art: int
-    basis: List[int]  # column index basic in each constraint row
+    basis: List[int]  # column index basic in each row (per lane if batched)
 
     @property
     def width(self) -> int:
@@ -99,14 +110,21 @@ def _build_tableau(
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
+    m, n = A.shape[-2:]
+    shapes = (A.shape, b.shape, c.shape)
+    if shapes != tuple(lane_shape(machine, *s) for s in ((m, n), (m,), (n,))):
         raise ShapeError(
             f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}"
         )
 
     flip = b < 0
-    A = np.where(flip[:, None], -A, A)
+    if machine.n_runs is not None and flip.any():
+        # Lanes share one instruction stream: no per-lane phase I.
+        raise ConfigError(
+            "batched simplex requires b >= 0 in every lane (artificial-"
+            "free); route general LPs through repro.batch.sweep"
+        )
+    A = np.where(flip[..., None], -A, A)
     slack_sign = np.where(flip, -1.0, 1.0)
     b = np.abs(b)
     art_rows = np.nonzero(flip)[0]
@@ -114,13 +132,15 @@ def _build_tableau(
 
     n_obj_rows = 2 if n_art else 1
     width = n + m + n_art + 1
-    T = np.zeros((m + n_obj_rows, width))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.diag(slack_sign)
-    T[:m, -1] = b
-    T[m, :n] = -c  # phase II objective (z-row): maximise c·x
+    T = np.zeros(lane_shape(machine, m + n_obj_rows, width))
+    T[..., :m, :n] = A
+    T[..., range(m), range(n, n + m)] = slack_sign
+    T[..., :m, -1] = b
+    T[..., m, :n] = -c  # phase II objective (z-row): maximise c·x
 
     basis = [n + i for i in range(m)]
+    if machine.n_runs is not None:
+        basis = np.tile(basis, (machine.n_runs, 1))
     for k, i in enumerate(art_rows):
         col = n + m + k
         T[i, col] = 1.0
@@ -132,7 +152,7 @@ def _build_tableau(
         T[m + 1, n + m : n + m + n_art] = 0.0
 
     return _Tableau(
-        T=matrix_cls.from_numpy(machine, T),
+        T=from_host(matrix_cls, machine, T),
         m=m,
         n=n,
         n_slack=m,
@@ -146,23 +166,11 @@ def _pivot(
     r: int,
     j: int,
     row_iota: DistributedVector,
+    act: Optional[np.ndarray] = None,
 ) -> None:
-    """One pivot on (row r, column j), updating every tableau row."""
-    T = tab.T
-    prow = T.extract(axis=0, index=r)
-    pval = prow.get_global(j)
-    prow = prow * (1.0 / pval)
-    T = T.insert(axis=0, index=r, vector=prow)
-    col = T.extract(axis=1, index=j)
-    not_r = ~row_iota.eq(r)
-    mcol = not_r.where(col, 0.0)
-    T = T.sub_outer(mcol, prow)
-    # Basic columns are exactly unit vectors in real arithmetic; pin the
-    # pivot column so round-off never accumulates in later reduced costs.
-    unit = row_iota.eq(r).where(1.0, 0.0)
-    T = T.insert(axis=1, index=j, vector=unit)
-    tab.T = T
-    tab.basis[r] = j
+    """Column j enters the basis at row r (per lane in ``act`` if batched)."""
+    tab.T = jordan_pivot(tab.T, r, j, row_iota, act)
+    set_at(tab.T.machine, tab.basis, r, j, act)
 
 
 def _run_phase(
@@ -174,14 +182,15 @@ def _run_phase(
     max_iters: int,
     pivots: List[Tuple[int, int]],
 ) -> Tuple[Status, int]:
-    """Pivot until the given objective row is optimal."""
+    """Pivot until the given objective row is optimal (in every lane)."""
     machine = tab.T.machine
     col_iota = None
     row_iota = None
     n_real = tab.n + tab.n_slack
+    run = LaneStatus(machine, "iteration_limit", max_iters)
 
     for it in range(max_iters):
-        with machine.phase("entering"):
+        with machine.phase("entering"), machine.lanes(run.active):
             obj = tab.T.extract(axis=0, index=obj_row)
             if col_iota is None:
                 col_iota = iota(obj.embedding)
@@ -192,11 +201,11 @@ def _run_phase(
                 _, j = obj.argreduce("min", valid=eligible)
             else:  # bland: smallest eligible index
                 _, j = col_iota.argreduce("min", valid=eligible)
-        if j < 0:
-            return "optimal", it
+        if run.stop(j < 0, "optimal", it):
+            break
 
-        with machine.phase("ratio-test"):
-            col = tab.T.extract(axis=1, index=j)
+        with machine.phase("ratio-test"), machine.lanes(run.active):
+            col = extract_at(tab.T, 1, j, run.active)
             if row_iota is None:
                 row_iota = iota(col.embedding)
             rhs = tab.T.extract(axis=1, index=tab.rhs_col)
@@ -205,13 +214,16 @@ def _run_phase(
             safe = pos.where(col, 1.0)
             ratios = pos.where(rhs / safe, np.inf)
             _, r = ratios.argreduce("min", valid=pos)
-        if r < 0:
-            return "unbounded", it
+        if run.stop(r < 0, "unbounded", it):
+            break
 
-        with machine.phase("pivot"):
-            _pivot(tab, int(r), int(j), row_iota)
-        pivots.append((int(r), int(j)))
-    return "iteration_limit", max_iters
+        with machine.phase("pivot"), machine.lanes(run.active):
+            _pivot(tab, r, j, row_iota, run.active)
+        pivots.append((
+            host_value(machine, r, int, run.active),
+            host_value(machine, j, int, run.active),
+        ))
+    return run.status, run.iterations
 
 
 def _drive_out_artificials(
@@ -261,6 +273,10 @@ def solve(
     pass the naive baseline class to run the identical algorithm on naive
     collectives.  The default follows the machine: the checksummed matrix
     when an ABFT manager is attached, the standard one otherwise.
+
+    On a batched machine ``A``, ``b`` and ``c`` carry the run axis first,
+    and every result field holds one entry per lane; each ``pivots`` step
+    is a pair of ``(n_runs,)`` arrays, -1 in the lanes that had stopped.
     """
     if rule not in ("dantzig", "bland"):
         raise ConfigError(f"rule must be 'dantzig' or 'bland', got {rule!r}")
@@ -290,16 +306,13 @@ def solve(
                 max_iters=max_iters,
                 pivots=pivots,
             )
-            if status == "iteration_limit":
+            if status != "iteration_limit" and (
+                tab.T.get_global(tab.w_row, tab.rhs_col) < -tol
+            ):
+                status = "infeasible"
+            if status in ("iteration_limit", "infeasible"):
                 return SimplexResult(
                     status, np.nan, np.zeros(tab.n), phase1_iters,
-                    phase1_iters, tab.basis, pivots,
-                    machine.elapsed_since(start),
-                )
-            w_value = tab.T.get_global(tab.w_row, tab.rhs_col)
-            if w_value < -tol:
-                return SimplexResult(
-                    "infeasible", np.nan, np.zeros(tab.n), phase1_iters,
                     phase1_iters, tab.basis, pivots,
                     machine.elapsed_since(start),
                 )
@@ -318,27 +331,32 @@ def solve(
     cost = machine.elapsed_since(start)
     iterations = phase1_iters + phase2_iters
 
-    if status == "unbounded":
+    if machine.n_runs is None and status == "unbounded":
         return SimplexResult(
             "unbounded", np.inf, np.zeros(tab.n), iterations,
             phase1_iters, tab.basis, pivots, cost,
         )
 
     # Read the solution off the final tableau (front-end output, untimed).
-    host = tab.T.to_numpy()
-    x_full = np.zeros(tab.width - 1)
-    for r, col in enumerate(tab.basis):
-        x_full[col] = host[r, tab.rhs_col]
-    objective = float(host[tab.z_row, tab.rhs_col])
+    host = to_host(tab.T)
+    x_full = np.zeros(lane_shape(machine, tab.width - 1))
+    np.put_along_axis(
+        x_full, np.asarray(tab.basis), host[..., : tab.m, tab.rhs_col], -1
+    )
+    objective = host_value(machine, host[..., tab.z_row, tab.rhs_col])
+    if machine.n_runs is not None:  # unbounded lanes report +inf at x = 0
+        unbounded = status == "unbounded"
+        x_full[unbounded] = 0.0
+        objective[unbounded] = np.inf
     # Duals: z-row coefficients of the slack columns.  For rows phase I
     # sign-flipped both the constraint and its slack coefficient were
     # negated, so the z-row entry already equals the *original* dual.
-    duals = host[tab.z_row, tab.n : tab.n + tab.n_slack].copy()
-    reduced_costs = host[tab.z_row, : tab.n].copy()
+    duals = host[..., tab.z_row, tab.n : tab.n + tab.n_slack].copy()
+    reduced_costs = host[..., tab.z_row, : tab.n].copy()
     return SimplexResult(
         status=status,
         objective=objective,
-        x=x_full[: tab.n].copy(),
+        x=x_full[..., : tab.n].copy(),
         iterations=iterations,
         phase1_iterations=phase1_iters,
         basis=list(tab.basis),

@@ -21,14 +21,16 @@ Entry points:
 * :func:`sweep` — run a parameter grid, stacking compatible
   configurations into batched sessions and falling back to scalar
   sessions (or :func:`repro.faults.run_resilient`) for the rest.
-* :mod:`repro.batch.algorithms` — batched ports of Gaussian
-  elimination, the (artificial-free) simplex method and matvec.
+* :mod:`repro.batch.algorithms` — Gaussian elimination, the
+  (artificial-free) simplex method and matvec on stacked host data: thin
+  adapters that run the scalar algorithm text of :mod:`repro.algorithms`
+  on the batched machine.
 
-Lanes diverge in control flow (pivot choices, termination) through
-*lane-masked execution*: :meth:`BatchHypercube.lanes` restricts charging
-to a boolean lane mask, and :mod:`repro.batch.lanewise` provides
-per-lane extract/insert/read primitives whose charge sequences match the
-scalar primitives exactly.
+That text is lane-aware.  Lanes diverge in control flow (pivot choices,
+termination) through *lane-masked execution*:
+:meth:`BatchHypercube.lanes` restricts charging to a boolean lane mask,
+and :mod:`repro.batch.lanewise` provides per-lane extract/insert/read
+primitives whose charge sequences match the scalar primitives exactly.
 """
 
 from .counters import LaneCounters

@@ -1,60 +1,33 @@
-"""Batched ports of the paper's applications.
+"""Batched entry points: the scalar solver texts, run on stacked lanes.
 
-Each port runs ``n_runs`` independent problem instances in lock-step on a
-:class:`~.session.BatchSession`, preserving bit-identity per lane with
-the scalar algorithm: uniform steps execute the scalar algorithm text on
-stacked arrays, and the steps where lanes diverge (pivot choices, row
-swaps, termination) go through the lane-masked primitives of
-:mod:`.lanewise` whose charge sequences match the scalar primitives.
+Each function runs ``n_runs`` independent problems in lock-step on a
+:class:`~.session.BatchSession` and holds no algorithm logic: it stacks
+the host data in (run axis first), calls the one lane-aware text in
+:mod:`repro.algorithms` on the batched machine (steps where lanes diverge
+go through :mod:`.lanewise`), and packages the lanes out in a
+``Batch*Result`` whose ``.lane(k)`` is lane ``k`` in the scalar result
+type, bit-identical to the same problem solved alone.
 
-* :func:`gaussian_solve` — Gaussian elimination with ``'partial'`` (or
-  ``'none'``) pivoting.  The key structural fact: after the physical row
-  swap the pivot row sits at position ``k`` in *every* lane, so only the
-  swap itself is lane-divergent; pivot search, the rank-1 update and back
-  substitution are uniform.
-* :func:`simplex_solve` — the dense tableau simplex for LPs with
-  ``b >= 0`` (no artificial variables, so no per-lane phase I).  Lanes
-  terminate independently through a shrinking active-lane mask.
-* :func:`matvec` / :func:`vecmat` — fully uniform; the scalar recipe
-  runs unchanged on stacked arrays.
+* :func:`gaussian_solve` — :func:`repro.algorithms.gaussian.solve`,
+  ``'partial'`` or ``'none'`` pivoting;
+* :func:`simplex_solve` — :func:`repro.algorithms.simplex.solve` for LPs
+  with ``b >= 0`` (no per-lane phase I); lanes stop independently;
+* :func:`matvec` / :func:`vecmat` — fully uniform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
-from ..algorithms.gaussian import GaussianResult, SingularMatrixError
+from ..algorithms import gaussian, matvec as _matvec, simplex
+from ..algorithms.gaussian import GaussianResult
 from ..algorithms.simplex import SimplexResult
-from ..core.arrays import DistributedMatrix, DistributedVector, iota
-from ..errors import ConfigError, ShapeError
 from ..machine.counters import CostSnapshot
-from ..machine.pvar import LaneValues
-from .lanewise import (
-    lane_extract,
-    lane_get_global,
-    lane_insert,
-    merge_lanes,
-)
+from .counters import lane_cost
 from .session import BatchSession
 
-
-def _lane_cost(cost: CostSnapshot, lane: int) -> CostSnapshot:
-    """One lane of a vector-valued snapshot as a scalar snapshot."""
-    return CostSnapshot(
-        time=float(cost.time[lane]),
-        flops=float(cost.flops[lane]),
-        elements_transferred=float(cost.elements_transferred[lane]),
-        comm_rounds=int(cost.comm_rounds[lane]),
-        local_moves=float(cost.local_moves[lane]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gaussian elimination
-# ---------------------------------------------------------------------------
 
 @dataclass
 class BatchGaussianResult:
@@ -69,8 +42,8 @@ class BatchGaussianResult:
         """One lane's outcome in the scalar result type."""
         return GaussianResult(
             x=self.x[lane].copy(),
-            pivots=[int(v) for v in self.pivots[lane]],
-            cost=_lane_cost(self.cost, lane),
+            pivots=self.pivots[lane].tolist(),
+            cost=lane_cost(self.cost, lane),
         )
 
 
@@ -88,125 +61,18 @@ def gaussian_solve(
     batch shares one instruction stream; filter inputs or fall back to
     scalar solves for mixed feasibility).
     """
-    if pivoting not in ("partial", "none"):
-        raise ConfigError(
-            "batched gaussian supports pivoting 'partial' or 'none', got "
-            f"{pivoting!r}"
-        )
-    machine = session.machine
-    n_runs = machine.n_runs
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 3 or A.shape[0] != n_runs or A.shape[1] != A.shape[2]:
-        raise ShapeError(
-            f"A must have shape (n_runs={n_runs}, n, n), got {A.shape}"
-        )
-    n = A.shape[1]
-    if b.shape != (n_runs, n):
-        raise ShapeError(
-            f"b must have shape ({n_runs}, {n}), got {b.shape}"
-        )
-
-    # Augment on the host: front-end set-up, untimed (as the scalar path).
-    T = session.matrix(np.concatenate([A, b[:, :, None]], axis=2))
-
-    start = machine.snapshot()
-    with machine.phase("gaussian"):
-        T, pivots, pivot_values = _eliminate(T, pivoting, tol)
-        x = _back_substitute(T, tol)
+    res = gaussian.solve(
+        session.matrix(A), b, pivoting=pivoting, tol=tol, keep_tableau=True
+    )
+    # Each pivot row is final once used: the pivots are the diagonal.
+    T = session.to_host(res.tableau)
     return BatchGaussianResult(
-        x=x,
-        pivots=pivots,
-        pivot_values=pivot_values,
-        cost=machine.elapsed_since(start),
+        x=res.x,
+        pivots=np.stack(res.pivots, axis=1),
+        pivot_values=np.diagonal(T, axis1=1, axis2=2).copy(),
+        cost=res.cost,
     )
 
-
-def _eliminate(
-    T: DistributedMatrix, pivoting: str, tol: float
-) -> Tuple[DistributedMatrix, np.ndarray, np.ndarray]:
-    machine = T.machine
-    n_runs = machine.n_runs
-    n = T.shape[0]
-    row_iota = None
-    pivots: List[np.ndarray] = []
-    pivot_values: List[np.ndarray] = []
-
-    for k in range(n):
-        with machine.phase("pivot-search"):
-            col = T.extract(axis=1, index=k)
-            if row_iota is None:
-                row_iota = iota(col.embedding)
-            if pivoting == "none":
-                prow = np.full(n_runs, k, dtype=np.int64)
-                pval = np.asarray(col.get_global(k))
-                if np.any(np.abs(pval) <= tol):
-                    raise SingularMatrixError(
-                        f"zero diagonal at step {k} with pivoting='none' "
-                        "in some lane"
-                    )
-            else:
-                candidates = row_iota >= k
-                pval, prow = abs(col).argreduce("max", valid=candidates)
-                if np.any((prow < 0) | (np.abs(pval) <= tol)):
-                    raise SingularMatrixError(
-                        f"no pivot above tolerance at elimination step {k} "
-                        "in some lane"
-                    )
-        pivots.append(prow.astype(np.int64))
-
-        if pivoting == "partial":
-            swap = prow != k
-            if np.any(swap):
-                kk = np.full(n_runs, k, dtype=np.int64)
-                with machine.phase("row-swap"):
-                    rk = lane_extract(T, axis=0, index=kk, act=swap)
-                    rp = lane_extract(T, axis=0, index=prow, act=swap)
-                    T = lane_insert(T, axis=0, index=kk, vec=rp, act=swap)
-                    T = lane_insert(T, axis=0, index=prow, vec=rk, act=swap)
-        # After the swap the pivot row is physically at k in every lane,
-        # so the update phase is uniform.
-
-        with machine.phase("update"):
-            pivot_row = T.extract(axis=0, index=k)
-            pivot_val = np.asarray(pivot_row.get_global(k))
-            pivot_values.append(pivot_val.astype(np.float64))
-            col = T.extract(axis=1, index=k)
-            below = row_iota > k
-            mults = below.where(col / LaneValues(pivot_val), 0.0)
-            T = T.sub_outer(mults, pivot_row)
-            zero_col = below.where(0.0, T.extract(axis=1, index=k))
-            T = T.insert(axis=1, index=k, vector=zero_col)
-    return T, np.stack(pivots, axis=1), np.stack(pivot_values, axis=1)
-
-
-def _back_substitute(T: DistributedMatrix, tol: float) -> np.ndarray:
-    machine = T.machine
-    n_runs = machine.n_runs
-    n = T.shape[0]
-    x = np.zeros((n_runs, n))
-    with machine.phase("back-substitution"):
-        rhs = T.extract(axis=1, index=n)
-        row_iota = iota(rhs.embedding)
-        pending = row_iota >= 0
-        for k in range(n - 1, -1, -1):
-            diag = np.asarray(T.get_global(k, k))
-            if np.any(np.abs(diag) <= tol):
-                raise SingularMatrixError(
-                    f"zero diagonal at back-substitution step {k} in some lane"
-                )
-            xk = np.asarray(rhs.get_global(k)) / diag
-            x[:, k] = xk
-            pending = pending & ~row_iota.eq(k)
-            if k:
-                colk = T.extract(axis=1, index=k)
-                rhs = rhs - pending.where(colk, 0.0) * LaneValues(xk)
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Simplex (artificial-free LPs)
-# ---------------------------------------------------------------------------
 
 @dataclass
 class BatchSimplexResult:
@@ -220,6 +86,7 @@ class BatchSimplexResult:
     cost: CostSnapshot         # vector-valued
     duals: np.ndarray = None          # (n_runs, m)
     reduced_costs: np.ndarray = None  # (n_runs, n)
+    pivots: np.ndarray = None  # (n_runs, steps, 2) int64, -1 once stopped
 
     def lane(self, lane: int) -> SimplexResult:
         """One lane's outcome in the scalar result type."""
@@ -230,8 +97,9 @@ class BatchSimplexResult:
             x=self.x[lane].copy(),
             iterations=int(self.iterations[lane]),
             phase1_iterations=0,
-            basis=[int(v) for v in self.basis[lane]],
-            cost=_lane_cost(self.cost, lane),
+            basis=self.basis[lane].tolist(),
+            pivots=[(r, j) for r, j in self.pivots[lane].tolist() if r >= 0],
+            cost=lane_cost(self.cost, lane),
             duals=None if unbounded else self.duals[lane].copy(),
             reduced_costs=(
                 None if unbounded else self.reduced_costs[lane].copy()
@@ -256,154 +124,22 @@ def simplex_solve(
     unboundedness independently: a finished lane stops charging while the
     others keep pivoting.
     """
-    if rule not in ("dantzig", "bland"):
-        raise ConfigError(f"rule must be 'dantzig' or 'bland', got {rule!r}")
-    machine = session.machine
-    n_runs = machine.n_runs
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if A.ndim != 3 or A.shape[0] != n_runs:
-        raise ShapeError(
-            f"A must have shape (n_runs={n_runs}, m, n), got {A.shape}"
-        )
-    m, n = A.shape[1], A.shape[2]
-    if b.shape != (n_runs, m) or c.shape != (n_runs, n):
-        raise ShapeError(
-            f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}"
-        )
-    if np.any(b < 0):
-        raise ConfigError(
-            "batched simplex requires b >= 0 in every lane (artificial-free"
-            "); route general LPs through repro.batch.sweep"
-        )
-
-    # Host tableau per lane: [A | I | b] with the z-row below (untimed
-    # front-end set-up, as the scalar path).
-    width = n + m + 1
-    host = np.zeros((n_runs, m + 1, width))
-    host[:, :m, :n] = A
-    host[:, :m, n : n + m] = np.eye(m)
-    host[:, :m, -1] = b
-    host[:, m, :n] = -c
-    T = session.matrix(host)
-
-    basis = np.tile(np.arange(n, n + m, dtype=np.int64), (n_runs, 1))
-    if max_iters is None:
-        max_iters = 50 * (m + n)
-    n_real = n + m
-    obj_row = m
-    rhs_col = width - 1
-
-    active = np.ones(n_runs, dtype=bool)
-    status = np.full(n_runs, "iteration_limit", dtype=object)
-    iterations = np.full(n_runs, max_iters, dtype=np.int64)
-    col_iota = None
-    row_iota = None
-
-    start = machine.snapshot()
-    with machine.phase("simplex"):
-        for it in range(max_iters):
-            if not active.any():
-                break
-            with machine.phase("entering"), machine.lanes(active):
-                obj = T.extract(axis=0, index=obj_row)
-                if col_iota is None:
-                    col_iota = iota(obj.embedding)
-                eligible = (obj < -tol) & (col_iota < n_real)
-                if rule == "dantzig":
-                    _, j_arr = obj.argreduce("min", valid=eligible)
-                else:  # bland: smallest eligible index
-                    _, j_arr = col_iota.argreduce("min", valid=eligible)
-            now_opt = active & (j_arr < 0)
-            if now_opt.any():
-                status[now_opt] = "optimal"
-                iterations[now_opt] = it
-                active = active & ~now_opt
-                if not active.any():
-                    break
-
-            with machine.phase("ratio-test"), machine.lanes(active):
-                col = lane_extract(T, axis=1, index=j_arr, act=active)
-                if row_iota is None:
-                    row_iota = iota(col.embedding)
-                rhs = T.extract(axis=1, index=rhs_col)
-                is_constraint = row_iota < m
-                pos = (col > tol) & is_constraint
-                safe = pos.where(col, 1.0)
-                ratios = pos.where(rhs / safe, np.inf)
-                _, r_arr = ratios.argreduce("min", valid=pos)
-            now_unb = active & (r_arr < 0)
-            if now_unb.any():
-                status[now_unb] = "unbounded"
-                iterations[now_unb] = it
-                active = active & ~now_unb
-                if not active.any():
-                    break
-
-            with machine.phase("pivot"), machine.lanes(active):
-                T = _pivot_lanes(T, r_arr, j_arr, row_iota, active)
-            rows = np.nonzero(active)[0]
-            basis[rows, r_arr[rows]] = j_arr[rows]
-    cost = machine.elapsed_since(start)
-
-    # Read the solutions off the final tableau (front-end output, untimed).
-    host = session.to_host(T)  # (n_runs, m+1, width)
-    objective = host[:, obj_row, rhs_col].copy()
-    duals = host[:, obj_row, n : n + m].copy()
-    reduced_costs = host[:, obj_row, :n].copy()
-    x = np.zeros((n_runs, n))
-    for lane in range(n_runs):
-        if status[lane] == "unbounded":
-            objective[lane] = np.inf
-            continue
-        x_full = np.zeros(width - 1)
-        x_full[basis[lane]] = host[lane, :m, rhs_col]
-        x[lane] = x_full[:n]
+    res = simplex.solve(
+        session.machine, A, b, c, rule=rule, tol=tol, max_iters=max_iters
+    )
+    steps = np.array(res.pivots, dtype=np.int64).reshape(-1, 2, session.n_runs)
     return BatchSimplexResult(
-        status=status.astype(str),
-        objective=objective,
-        x=x,
-        iterations=iterations,
-        basis=basis,
-        cost=cost,
-        duals=duals,
-        reduced_costs=reduced_costs,
+        status=res.status.astype(str),
+        objective=res.objective,
+        x=res.x,
+        iterations=res.iterations,
+        basis=np.asarray(res.basis),
+        cost=res.cost,
+        duals=res.duals,
+        reduced_costs=res.reduced_costs,
+        pivots=steps.transpose(2, 0, 1),
     )
 
-
-def _pivot_lanes(
-    T: DistributedMatrix,
-    r_arr: np.ndarray,
-    j_arr: np.ndarray,
-    row_iota: DistributedVector,
-    act: np.ndarray,
-) -> DistributedMatrix:
-    """One pivot on (row ``r_arr[k]``, column ``j_arr[k]``) per active lane.
-
-    Mirrors the scalar ``_pivot`` operation-for-operation; inactive lanes
-    keep their tableau data and charge nothing.
-    """
-    machine = T.machine
-    prow = lane_extract(T, axis=0, index=r_arr, act=act)
-    pval = lane_get_global(prow, np.where(act, j_arr, 0), act=act)
-    # Inactive lanes hold garbage; make the host-side reciprocal safe.
-    pval = np.where(act, pval, 1.0)
-    prow = prow * LaneValues(1.0 / pval)
-    T = lane_insert(T, axis=0, index=r_arr, vec=prow, act=act)
-    col = lane_extract(T, axis=1, index=j_arr, act=act)
-    not_r = ~row_iota.eq(LaneValues(np.where(act, r_arr, 0)))
-    mcol = not_r.where(col, 0.0)
-    T = merge_lanes(T.sub_outer(mcol, prow), T, act)
-    # Pin the pivot column to an exact unit vector (as the scalar path).
-    unit = row_iota.eq(LaneValues(np.where(act, r_arr, 0))).where(1.0, 0.0)
-    T = lane_insert(T, axis=1, index=j_arr, vec=unit, act=act)
-    return T
-
-
-# ---------------------------------------------------------------------------
-# Matrix-vector products (fully uniform)
-# ---------------------------------------------------------------------------
 
 @dataclass
 class BatchMatvecResult:
@@ -413,24 +149,20 @@ class BatchMatvecResult:
     cost: CostSnapshot
 
     def lane_cost(self, lane: int) -> CostSnapshot:
-        return _lane_cost(self.cost, lane)
+        return lane_cost(self.cost, lane)
 
 
 def matvec(session: BatchSession, A: np.ndarray, x: np.ndarray) -> BatchMatvecResult:
     """``y[k] = A[k] @ x[k]`` per lane: the scalar recipe on stacked arrays."""
-    from ..algorithms import matvec as _scalar
-
     M = session.matrix(A)
     xv = session.row_vector(x, like=M)
-    res = _scalar.matvec(M, xv)
+    res = _matvec.matvec(M, xv)
     return BatchMatvecResult(y=session.to_host(res.y), cost=res.cost)
 
 
 def vecmat(session: BatchSession, x: np.ndarray, A: np.ndarray) -> BatchMatvecResult:
     """``y[k] = x[k] @ A[k]`` per lane."""
-    from ..algorithms import matvec as _scalar
-
     M = session.matrix(A)
     xv = session.col_vector(x, like=M)
-    res = _scalar.vecmat(xv, M)
+    res = _matvec.vecmat(xv, M)
     return BatchMatvecResult(y=session.to_host(res.y), cost=res.cost)

@@ -22,6 +22,17 @@ from ..errors import ConfigError
 from ..machine.counters import Counters, CostSnapshot
 
 
+def lane_cost(cost, lane: int) -> CostSnapshot:
+    """Lane ``lane`` of a vector-valued snapshot (or counters), as a scalar."""
+    return CostSnapshot(
+        time=float(cost.time[lane]),
+        flops=float(cost.flops[lane]),
+        elements_transferred=float(cost.elements_transferred[lane]),
+        comm_rounds=int(cost.comm_rounds[lane]),
+        local_moves=float(cost.local_moves[lane]),
+    )
+
+
 class LaneCounters(Counters):
     """Counters whose cost fields are ``(n_runs,)`` vectors.
 
@@ -105,13 +116,7 @@ class LaneCounters(Counters):
 
     def lane_snapshot(self, lane: int) -> CostSnapshot:
         """One lane's totals as an ordinary scalar snapshot."""
-        return CostSnapshot(
-            time=float(self.time[lane]),
-            flops=float(self.flops[lane]),
-            elements_transferred=float(self.elements_transferred[lane]),
-            comm_rounds=int(self.comm_rounds[lane]),
-            local_moves=float(self.local_moves[lane]),
-        )
+        return lane_cost(self, lane)
 
     def lane_phase_times(self, lane: int) -> dict:
         """One lane's per-phase time breakdown (scalar floats)."""
@@ -142,13 +147,6 @@ class LaneCounters(Counters):
         self._publish_observability(registry)
 
     def reset(self) -> None:
+        super().reset()
         self._zero_lanes()
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_evictions = 0
-        self.abft_detected = 0
-        self.abft_corrected = 0
-        self.abft_recomputed = 0
-        self.phase_times.clear()
-        self._phase_stack.clear()
         self.active = None

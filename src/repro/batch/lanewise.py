@@ -1,11 +1,14 @@
 """Per-lane variants of the slice primitives for batched execution.
 
-When lanes pivot on different rows/columns, the uniform ``extract`` /
-``insert`` primitives no longer apply: lane ``k`` needs slice
-``index[k]``.  These helpers perform all lanes' slice operations in one
-stacked pass while charging the *exact* cost sequence the scalar
-primitive charges per lane (lane-masked through the active-lanes
-context), so batched lanes stay bit-identical to scalar runs.
+The solver texts in :mod:`repro.algorithms` run unchanged on a batched
+machine; where lanes pivot on different rows/columns their lane-aware
+steps (:mod:`repro.algorithms.lanes`) call these helpers, since the
+uniform ``extract`` / ``insert`` primitives no longer apply: lane ``k``
+needs slice ``index[k]``.  These helpers perform all lanes' slice
+operations in one stacked pass while charging the *exact* cost sequence
+the scalar primitive charges per lane (lane-masked through the
+active-lanes context), so batched lanes stay bit-identical to scalar
+runs.
 
 Charge fidelity: :func:`repro.core.primitives.extract` charges one local
 pass over the slice extent plus one full-share communication round per
@@ -34,23 +37,22 @@ from ..machine.pvar import PVar
 
 
 def _lane_indices(machine, index, extent: int, act: Optional[np.ndarray]):
-    """Validate per-lane indices; clamp inactive lanes to 0."""
+    """Validate per-lane (or shared) indices; clamp inactive lanes to 0."""
     n_runs = machine.n_runs
     if n_runs is None:
         raise ConfigError("lanewise primitives require a batched machine")
     idx = np.asarray(index, dtype=np.int64)
+    if idx.ndim == 0:
+        idx = np.full(n_runs, idx)  # the same slice in every lane
     if idx.shape != (n_runs,):
         raise ShapeError(
             f"per-lane index must have shape ({n_runs},), got {idx.shape}"
         )
-    if act is None:
-        act = np.ones(n_runs, dtype=bool)
-    else:
-        act = np.asarray(act, dtype=bool)
-        if act.shape != (n_runs,):
-            raise ShapeError(
-                f"lane mask must have shape ({n_runs},), got {act.shape}"
-            )
+    act = np.ones(n_runs, bool) if act is None else np.asarray(act, bool)
+    if act.shape != (n_runs,):
+        raise ShapeError(
+            f"lane mask must have shape ({n_runs},), got {act.shape}"
+        )
     live = idx[act]
     if live.size and (live.min() < 0 or live.max() >= extent):
         raise IndexError(
@@ -59,21 +61,18 @@ def _lane_indices(machine, index, extent: int, act: Optional[np.ndarray]):
     return np.where(act, idx, 0), act
 
 
-def _slice_owner_lanes(emb, axis: int, idx: np.ndarray):
-    """Per-lane (grid coordinate, local slot) arrays of the slices."""
+def _lane_slices(M: DistributedMatrix, axis: int, index, act):
+    """Per-lane (grid coordinate, local slot) of the slices, and the mask."""
+    if axis not in (0, 1):
+        raise ConfigError(f"axis must be 0 or 1, got {axis}")
+    emb = M.embedding
+    extent = emb.R if axis == 0 else emb.C
+    idx, act = _lane_indices(emb.machine, index, extent, act)
     if axis == 0:
         owners, slots = emb.row_owner_table()
     else:
         owners, slots = emb.col_owner_table()
-    return owners[idx], slots[idx]
-
-
-def _charge_bus_read(machine) -> None:
-    """Charge one single-element front-end bus read (as ``read_scalar``)."""
-    time = machine._round_cost.get(1)
-    if time is None:
-        time = machine._round_cost[1] = machine.cost_model.comm_round(1)
-    machine.counters.charge_transfer(1, 1, time)
+    return owners[idx], slots[idx], act
 
 
 def lane_extract(
@@ -89,28 +88,18 @@ def lane_extract(
     pass + one share round per orthogonal dimension) land only on the
     lanes where ``act``.
     """
-    if axis not in (0, 1):
-        raise ConfigError(f"axis must be 0 or 1, got {axis}")
+    owners, slots, act = _lane_slices(M, axis, index, act)
     emb = M.embedding
     machine = emb.machine
-    extent = emb.R if axis == 0 else emb.C
-    idx, act = _lane_indices(machine, index, extent, act)
-    owners, slots = _slice_owner_lanes(emb, axis, idx)
-
     data = M.pvar.data
-    p = machine.p
     n_runs = machine.n_runs
-    # Per-lane slot selection: lane k picks local slot slots[k].
-    if axis == 0:
-        sel = np.broadcast_to(
-            slots[None, None, None, :], (p, 1, data.shape[2], n_runs)
-        )
-        local = np.take_along_axis(data, sel, axis=1)[:, 0]
-    else:
-        sel = np.broadcast_to(
-            slots[None, None, None, :], (p, data.shape[1], 1, n_runs)
-        )
-        local = np.take_along_axis(data, sel, axis=2)[:, :, 0]
+    # Per-lane slot selection: lane k picks local slot slots[k] on the
+    # slice's local axis.
+    ax = axis + 1
+    shape = list(data.shape)
+    shape[ax] = 1
+    sel = np.broadcast_to(slots[None, None, None, :], shape)
+    local = np.take_along_axis(data, sel, axis=ax).squeeze(ax)
 
     vec_emb = _aligned_embedding(emb, axis, None)
     across = vec_emb.across_dims
@@ -151,42 +140,25 @@ def lane_insert(
     :func:`lane_extract` returns).  Lanes outside ``act`` keep their
     matrix data untouched and charge nothing.
     """
-    if axis not in (0, 1):
-        raise ConfigError(f"axis must be 0 or 1, got {axis}")
+    owners, slots, act = _lane_slices(M, axis, index, act)
     emb = M.embedding
     machine = emb.machine
-    extent = emb.R if axis == 0 else emb.C
-    idx, act = _lane_indices(machine, index, extent, act)
-    target = _aligned_embedding(emb, axis, None)
-    if not vec.embedding.compatible(target):
+    if not vec.embedding.compatible(_aligned_embedding(emb, axis, None)):
         raise ConfigError(
             "lane_insert requires a replicated aligned vector (as returned "
             "by lane_extract); remap before inserting"
         )
-    owners, slots = _slice_owner_lanes(emb, axis, idx)
-
     grid_r, grid_c = emb.grid_coords()
     grid = grid_r if axis == 0 else grid_c
     band = grid[:, None] == owners[None, :]  # (p, n_runs)
     data = M.pvar.data
-    if axis == 0:
-        lr = data.shape[1]
-        slotm = np.arange(lr)[:, None] == slots[None, :]  # (lr, n_runs)
-        writemask = (
-            band[:, None, None, :]
-            & slotm[None, :, None, :]
-            & act[None, None, None, :]
-        )
-        out = np.where(writemask, np.expand_dims(vec.pvar.data, 1), data)
-    else:
-        lc = data.shape[2]
-        slotm = np.arange(lc)[:, None] == slots[None, :]
-        writemask = (
-            band[:, None, None, :]
-            & slotm[None, None, :, :]
-            & act[None, None, None, :]
-        )
-        out = np.where(writemask, np.expand_dims(vec.pvar.data, 2), data)
+    ax = axis + 1  # the slice's local axis
+    shape = [1, 1, 1, machine.n_runs]
+    shape[ax] = data.shape[ax]
+    slotm = np.arange(data.shape[ax])[:, None] == slots[None, :]
+    slotm = slotm.reshape(shape)
+    writemask = band[:, None, None, :] & slotm & act
+    out = np.where(writemask, np.expand_dims(vec.pvar.data, ax), data)
 
     with machine.lanes(act):
         machine.charge_local(vec.pvar.local_size)
@@ -208,27 +180,11 @@ def lane_get_global(
     pids, slots = vec.embedding.owner_slot(idx)
     lanes = np.arange(machine.n_runs)
     values = vec.pvar.data[pids, slots, lanes].copy()
-    with machine.lanes(act):
-        _charge_bus_read(machine)
-    return values
-
-
-def lane_get_global_matrix(
-    M: DistributedMatrix,
-    i,
-    j,
-    act: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Fetch element ``(i[k], j[k])`` of lane ``k`` to the host."""
-    machine = M.machine
-    rows, cols = M.shape
-    ii, act = _lane_indices(machine, i, rows, act)
-    jj, _ = _lane_indices(machine, j, cols, act)
-    pids, sr, sc = M.embedding.owner_slot(ii, jj)
-    lanes = np.arange(machine.n_runs)
-    values = M.pvar.data[pids, sr, sc, lanes].copy()
-    with machine.lanes(act):
-        _charge_bus_read(machine)
+    time = machine._round_cost.get(1)
+    if time is None:
+        time = machine._round_cost[1] = machine.cost_model.comm_round(1)
+    with machine.lanes(act):  # one single-element bus read, as read_scalar
+        machine.counters.charge_transfer(1, 1, time)
     return values
 
 

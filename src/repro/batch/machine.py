@@ -116,55 +116,34 @@ class BatchHypercube(Hypercube):
         shape = (self.p, *local_shape, self.n_runs)
         return PVar(self, np.full(shape, value, dtype=dtype))
 
-    def zeros(self, local_shape: Sequence[int] = (), dtype: Any = np.float64) -> PVar:
-        return PVar(
-            self, np.zeros((self.p, *local_shape, self.n_runs), dtype=dtype)
-        )
-
-    def ones(self, local_shape: Sequence[int] = (), dtype: Any = np.float64) -> PVar:
-        return PVar(
-            self, np.ones((self.p, *local_shape, self.n_runs), dtype=dtype)
-        )
-
     # -- unsupported subsystems ---------------------------------------------
+    # They audit or perturb one scalar machine; a batched one can only
+    # detach them (``None``).
+
+    def _scalar_only(self, what: str, value: Any) -> None:
+        if value is not None:
+            raise ConfigError(
+                f"{what} is not supported on a BatchHypercube; lanes are "
+                "bit-identical to scalar runs, so attach it on the scalar "
+                "path (repro.batch.sweep routes such configs to scalar "
+                "sessions)"
+            )
 
     def attach_tracer(self, tracer: Any) -> Any:
-        if tracer is not None:
-            raise ConfigError(
-                "tracing is not supported on a BatchHypercube; "
-                "trace the scalar path (lanes are bit-identical to it)"
-            )
-        self.tracer = None
-        return None
+        self._scalar_only("tracing", tracer)
+        return super().attach_tracer(None)
 
     def attach_sanitizer(self, sanitizer: Any) -> Any:
-        if sanitizer is not None:
-            raise ConfigError(
-                "the machine sanitizer audits scalar machines; "
-                "sanitize the scalar path (lanes are bit-identical to it)"
-            )
-        self.sanitizer = None
-        return None
+        self._scalar_only("the machine sanitizer", sanitizer)
+        return super().attach_sanitizer(None)
 
     def attach_abft(self, manager: Any) -> Any:
-        if manager is not None:
-            raise ConfigError(
-                "ABFT checksums are not supported on a BatchHypercube; "
-                "repro.batch.sweep routes checksummed configs to scalar "
-                "sessions"
-            )
-        self.abft = None
-        return None
+        self._scalar_only("ABFT checksumming", manager)
+        return super().attach_abft(None)
 
     def attach_faults(self, injector: Any) -> Any:
-        if injector is not None:
-            raise ConfigError(
-                "fault injection is not supported on a BatchHypercube; "
-                "repro.batch.sweep routes faulty configs through "
-                "run_resilient on scalar sessions"
-            )
-        self.faults = None
-        return None
+        self._scalar_only("fault injection", injector)
+        return super().attach_faults(None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -64,25 +64,20 @@ class BatchSession:
         sanitize: Optional[object] = None,
         abft: Optional[object] = None,
     ) -> None:
-        for name, value in (
-            ("trace", trace),
-            ("faults", faults),
-            ("sanitize", sanitize),
-            ("abft", abft),
-        ):
-            if value:
-                raise ConfigError(
-                    f"{name} is not supported on a BatchSession; lanes are "
-                    "bit-identical to scalar runs, so attach it to a scalar "
-                    "Session instead (repro.batch.sweep does this "
-                    "automatically)"
-                )
-        self.machine = BatchHypercube(
+        self.machine = m = BatchHypercube(
             n_dims,
             n_runs,
             _resolve_cost_model(cost_model),
             plan_cache=plan_cache,
         )
+        # The batched machine rejects every one of these (ConfigError).
+        for attach, value in (
+            (m.attach_tracer, trace),
+            (m.attach_faults, faults),
+            (m.attach_sanitizer, sanitize),
+            (m.attach_abft, abft),
+        ):
+            attach(value or None)
 
     @property
     def n_runs(self) -> int:

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..algorithms import gaussian, matvec as mv, simplex
 from ..errors import ConfigError
 from .session import BatchSession
 from . import algorithms as batch_algorithms
@@ -83,11 +84,8 @@ def _batch_signature(workload: str, params: Dict, data: Dict) -> Optional[tuple]
         return None  # unhashable/shared instances: keep them scalar
     if workload == "simplex" and np.any(data["b"] < 0):
         return None  # needs artificials (per-lane phase I): scalar path
-    if workload == "gaussian" and params.get("pivoting", "partial") not in (
-        "partial",
-        "none",
-    ):
-        return None
+    if workload == "gaussian" and params.get("pivoting") == "implicit":
+        return None  # one shared row order: batched lanes swap rows
     shape = tuple(data["A"].shape)
     return (
         workload,
@@ -99,6 +97,37 @@ def _batch_signature(workload: str, params: Dict, data: Dict) -> Optional[tuple]
         params.get("rule", "dantzig"),
         params.get("tol"),
     )
+
+
+def _solver_kwargs(workload: str, params: Dict) -> Dict:
+    """The solver options one configuration sets (defaults left out)."""
+    kwargs = {}
+    if workload == "gaussian":
+        kwargs["pivoting"] = params.get("pivoting", "partial")
+    elif workload == "simplex":
+        kwargs["rule"] = params.get("rule", "dantzig")
+    if params.get("tol") is not None:
+        kwargs["tol"] = params["tol"]
+    return kwargs
+
+
+def _outputs(workload: str, res, y=None, cost=None) -> Dict:
+    """One configuration's outputs from its scalar result (or its lane's);
+    ``y`` is the matvec product on the host; ``cost`` replaces ``res.cost``."""
+    if workload == "gaussian":
+        out = {"x": res.x, "pivots": [int(v) for v in res.pivots]}
+    elif workload == "simplex":
+        out = {
+            "status": res.status,
+            "objective": res.objective,
+            "x": res.x,
+            "iterations": res.iterations,
+        }
+    else:
+        out = {"y": y}
+    cost = res.cost if cost is None else cost
+    out.update(time=cost.time, cost=cost)
+    return out
 
 
 def _run_batched(workload: str, entries: List[dict]) -> None:
@@ -114,98 +143,44 @@ def _run_batched(workload: str, entries: List[dict]) -> None:
         key: np.stack([e["data"][key] for e in entries])
         for key in entries[0]["data"]
     }
-    tol = params0.get("tol")
+    kwargs = _solver_kwargs(workload, params0)
     if workload == "gaussian":
-        kwargs = {"pivoting": params0.get("pivoting", "partial")}
-        if tol is not None:
-            kwargs["tol"] = tol
         res = batch_algorithms.gaussian_solve(
             session, stack["A"], stack["b"], **kwargs
         )
-        for lane, entry in enumerate(entries):
-            entry["out"] = {
-                "x": res.x[lane].copy(),
-                "pivots": [int(v) for v in res.pivots[lane]],
-                "time": float(res.cost.time[lane]),
-                "cost": res.lane(lane).cost,
-            }
     elif workload == "simplex":
-        kwargs = {"rule": params0.get("rule", "dantzig")}
-        if tol is not None:
-            kwargs["tol"] = tol
         res = batch_algorithms.simplex_solve(
             session, stack["A"], stack["b"], stack["c"], **kwargs
         )
-        for lane, entry in enumerate(entries):
-            lane_res = res.lane(lane)
-            entry["out"] = {
-                "status": lane_res.status,
-                "objective": lane_res.objective,
-                "x": lane_res.x,
-                "iterations": lane_res.iterations,
-                "time": lane_res.cost.time,
-                "cost": lane_res.cost,
-            }
-    else:  # matvec
+    else:
         res = batch_algorithms.matvec(session, stack["A"], stack["x"])
-        for lane, entry in enumerate(entries):
-            entry["out"] = {
-                "y": res.y[lane].copy(),
-                "time": float(res.cost.time[lane]),
-                "cost": res.lane_cost(lane),
-            }
     for lane, entry in enumerate(entries):
-        entry["out"]["batched"] = True
-        entry["out"]["n_lanes"] = len(entries)
-        entry["out"]["lane"] = lane
+        if workload == "matvec":
+            out = _outputs(
+                workload, res, res.y[lane].copy(), res.lane_cost(lane)
+            )
+        else:
+            out = _outputs(workload, res.lane(lane))
+        out.update(batched=True, n_lanes=len(entries), lane=lane)
+        entry["out"] = out
 
 
 def _scalar_workload(workload: str, params: Dict, data: Dict):
     """A ``run_resilient``-shaped closure executing one scalar config."""
-    tol = params.get("tol")
+    kwargs = _solver_kwargs(workload, params)
 
     def body(session, store=None):
         if workload == "gaussian":
-            from ..algorithms import gaussian
-
-            kwargs = {"pivoting": params.get("pivoting", "partial")}
-            if tol is not None:
-                kwargs["tol"] = tol
             M = session.matrix(data["A"])
-            res = gaussian.solve(M, data["b"], **kwargs)
-            return {
-                "x": res.x,
-                "pivots": res.pivots,
-                "time": res.cost.time,
-                "cost": res.cost,
-            }
+            return _outputs(workload, gaussian.solve(M, data["b"], **kwargs))
         if workload == "simplex":
-            from ..algorithms import simplex
-
-            kwargs = {"rule": params.get("rule", "dantzig")}
-            if tol is not None:
-                kwargs["tol"] = tol
             res = simplex.solve(
                 session.machine, data["A"], data["b"], data["c"], **kwargs
             )
-            return {
-                "status": res.status,
-                "objective": res.objective,
-                "x": res.x,
-                "iterations": res.iterations,
-                "time": res.cost.time,
-                "cost": res.cost,
-            }
-        from ..algorithms import matvec as mv
-
+            return _outputs(workload, res)
         M = session.matrix(data["A"])
-        xv = session.row_vector(data["x"], like=M)
-        res = mv.matvec(M, xv)
-        return {
-            "y": res.y.to_numpy(),
-            "time": res.cost.time,
-            "cost": res.cost,
-        }
+        res = mv.matvec(M, session.row_vector(data["x"], like=M))
+        return _outputs(workload, res, res.y.to_numpy())
 
     return body
 
@@ -228,8 +203,7 @@ def _run_scalar(workload: str, entry: dict) -> None:
         from ..faults.recovery import run_resilient
 
         report = run_resilient(session, body)
-        out = report.result if report.result is not None else {}
-        out = dict(out)
+        out = dict(report.result or {})
         out["resilience"] = report.as_dict()
     else:
         out = body(session)
@@ -252,13 +226,9 @@ def sweep(workload: str, params_grid: List[Dict]) -> List[Dict]:
     entries = []
     for index, params in enumerate(params_grid):
         data = make_problem(workload, params)
+        sig = _batch_signature(workload, params, data)
         entries.append(
-            {
-                "index": index,
-                "params": params,
-                "data": data,
-                "sig": _batch_signature(workload, params, data),
-            }
+            {"index": index, "params": params, "data": data, "sig": sig}
         )
 
     groups: Dict[tuple, List[dict]] = {}
@@ -271,10 +241,6 @@ def sweep(workload: str, params_grid: List[Dict]) -> List[Dict]:
         if entry["sig"] is None:
             _run_scalar(workload, entry)
 
-    results = []
     for entry in entries:
-        out = entry["out"]
-        out["index"] = entry["index"]
-        out["workload"] = workload
-        results.append(out)
-    return results
+        entry["out"].update(index=entry["index"], workload=workload)
+    return [entry["out"] for entry in entries]

@@ -696,33 +696,23 @@ def run_batched_case(
 
 def _scalar_rerun(workload: str, params: dict) -> dict:
     """One grid entry on a scalar Session (sanitized) plus its reference."""
-    from ..algorithms import gaussian, matvec as mv, simplex
-    from ..batch.sweep import make_problem
+    from ..algorithms import serial
+    from ..batch.sweep import _scalar_workload, make_problem
 
     data = make_problem(workload, params)
     session = Session(
         params["n_dims"], cost_model=params.get("cost_model"), sanitize=True
     )
+    out = _scalar_workload(workload, params, data)(session)
     if workload == "gaussian":
-        res = gaussian.solve(session.matrix(data["A"]), data["b"])
-        return {
-            "x": res.x,
-            "time": res.cost.time,
-            "reference": np.linalg.solve(data["A"], data["b"]),
-        }
-    if workload == "simplex":
-        from ..algorithms import serial
-
-        res = simplex.solve(session.machine, data["A"], data["b"], data["c"])
-        _, _, x_ref, _, _ = serial.simplex_solve(data["A"], data["b"], data["c"])
-        return {"x": res.x, "time": res.cost.time, "reference": x_ref}
-    M = session.matrix(data["A"])
-    res = mv.matvec(M, session.row_vector(data["x"], like=M))
-    return {
-        "y": res.y.to_numpy(),
-        "time": res.cost.time,
-        "reference": data["A"] @ data["x"],
-    }
+        out["reference"] = np.linalg.solve(data["A"], data["b"])
+    elif workload == "simplex":
+        out["reference"] = serial.simplex_solve(
+            data["A"], data["b"], data["c"]
+        )[2]
+    else:
+        out["reference"] = data["A"] @ data["x"]
+    return out
 
 
 # -- the sweep -------------------------------------------------------------------

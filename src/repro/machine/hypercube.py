@@ -17,7 +17,7 @@ are validated *against* the simulator in the tests).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Iterator, Optional, Sequence, Tuple
 
 import contextlib
 
@@ -28,6 +28,8 @@ from .cost_model import CostModel
 from .counters import Counters, CostSnapshot
 from .plans import PlanCache
 from .pvar import PVar
+
+_ONE_LANE = contextlib.nullcontext()  # Hypercube.lanes: nothing to mask
 
 
 class Hypercube:
@@ -543,10 +545,10 @@ class Hypercube:
         return PVar(self, np.full(shape, value, dtype=dtype))
 
     def zeros(self, local_shape: Sequence[int] = (), dtype: Any = np.float64) -> PVar:
-        return PVar(self, np.zeros((self.p, *local_shape), dtype=dtype))
+        return self.full(local_shape, 0, dtype)
 
     def ones(self, local_shape: Sequence[int] = (), dtype: Any = np.float64) -> PVar:
-        return PVar(self, np.ones((self.p, *local_shape), dtype=dtype))
+        return self.full(local_shape, 1, dtype)
 
     # -- cost charging ---------------------------------------------------------
 
@@ -695,6 +697,14 @@ class Hypercube:
             metrics = self.metrics
             if metrics is not None:
                 metrics.on_phase_exit(name)
+
+    def lanes(self, mask: Any) -> ContextManager[None]:
+        """Restrict charging to the simulation lanes where ``mask`` holds.
+
+        A scalar machine runs one lane, so this is a no-op; the batched
+        machine of :mod:`repro.batch` masks its per-lane counters.
+        """
+        return _ONE_LANE
 
     # -- SIMD activity context (the CM's context flags) -----------------------
 

@@ -370,9 +370,8 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
 
 
 def _run_batch_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
-    from .. import workloads as W
     from ..batch import sweep
-    from ..batch.sweep import make_problem  # noqa: F401  (import check)
+    from ..batch.sweep import make_problem
 
     params = dict(spec.params)
     n_dims = int(params["n_dims"])

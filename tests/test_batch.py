@@ -44,8 +44,27 @@ def _snap_dict(snapshot):
 # -- lane bit-identity (in-process, across seeds) -----------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_gaussian_lanes_match_scalar_runs(seed):
+def _cases(seeds, **axes):
+    """Seeds crossed with option axes; each axis's first value is its
+    default, left out of the test id (so ``[0]`` is seed 0, defaults)."""
+    cases = [(seed,) for seed in seeds]
+    for values in axes.values():
+        cases = [case + (v,) for case in cases for v in values]
+
+    def case_id(case):
+        return "-".join([str(case[0])] + [
+            f"{name}={v}"
+            for (name, values), v in zip(axes.items(), case[1:])
+            if v != values[0]
+        ])
+
+    return [pytest.param(*case, id=case_id(case)) for case in cases]
+
+
+@pytest.mark.parametrize(
+    "seed, pivoting", _cases([0, 1, 7], pivoting=["partial", "none"])
+)
+def test_gaussian_lanes_match_scalar_runs(seed, pivoting):
     n_runs, n_dims = 5, 4
     grid = [{"n_dims": n_dims, "n": 9, "seed": seed + k} for k in range(n_runs)]
     datas = [make_problem("gaussian", g) for g in grid]
@@ -55,10 +74,13 @@ def test_gaussian_lanes_match_scalar_runs(seed):
         session,
         np.stack([d["A"] for d in datas]),
         np.stack([d["b"] for d in datas]),
+        pivoting=pivoting,
     )
     for lane, data in enumerate(datas):
         scalar = Session(n_dims)
-        want = gaussian.solve(scalar.matrix(data["A"]), data["b"])
+        want = gaussian.solve(
+            scalar.matrix(data["A"]), data["b"], pivoting=pivoting
+        )
         assert np.array_equal(res.x[lane], want.x)
         assert np.array_equal(res.pivots[lane], want.pivots)
         assert float(res.cost.time[lane]) == want.cost.time
@@ -68,14 +90,41 @@ def test_gaussian_lanes_match_scalar_runs(seed):
         )
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_simplex_lanes_match_scalar_runs(seed):
+def _same_array(got, want):
+    return (got is None and want is None) or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "seed, rule, max_iters",
+    _cases([0, 3], rule=["dantzig", "bland"], max_iters=[None, 2]),
+)
+def test_simplex_lanes_match_scalar_runs(seed, rule, max_iters):
+    _check_simplex_lanes(seed, rule, max_iters)
+
+
+@pytest.mark.parametrize("rule", ["dantzig", "bland"])
+def test_simplex_unbounded_lane_leaves_others_pivoting(rule):
+    """Lane 2 goes unbounded; the other lanes keep pivoting to optimality."""
+
+    def unbound_lane_2(lane, data):
+        if lane == 2:
+            data["A"][:, 0] = -0.5
+
+    statuses = _check_simplex_lanes(0, rule, None, unbound_lane_2)
+    assert statuses[2] == "unbounded"
+    assert statuses.count("optimal") == 3
+
+
+def _check_simplex_lanes(seed, rule, max_iters, mutate=None):
     n_runs, n_dims = 4, 4
     grid = [
         {"n_dims": n_dims, "n": 8, "m": 5, "seed": seed + k}
         for k in range(n_runs)
     ]
     datas = [make_problem("simplex", g) for g in grid]
+    if mutate is not None:
+        for lane, data in enumerate(datas):
+            mutate(lane, data)
 
     session = BatchSession(n_dims, n_runs=n_runs)
     res = batch_algorithms.simplex_solve(
@@ -83,17 +132,31 @@ def test_simplex_lanes_match_scalar_runs(seed):
         np.stack([d["A"] for d in datas]),
         np.stack([d["b"] for d in datas]),
         np.stack([d["c"] for d in datas]),
+        rule=rule,
+        max_iters=max_iters,
     )
+    statuses = []
     for lane, data in enumerate(datas):
         scalar = Session(n_dims)
-        want = simplex.solve(scalar.machine, data["A"], data["b"], data["c"])
+        want = simplex.solve(
+            scalar.machine, data["A"], data["b"], data["c"],
+            rule=rule, max_iters=max_iters,
+        )
         got = res.lane(lane)
         assert got.status == want.status
         assert got.iterations == want.iterations
         assert got.objective == want.objective  # bitwise, not allclose
         assert np.array_equal(got.x, want.x)
         assert np.array_equal(res.basis[lane], want.basis)
+        assert got.pivots == want.pivots
+        assert _same_array(got.duals, want.duals)
+        assert _same_array(got.reduced_costs, want.reduced_costs)
         assert _snap_dict(got.cost) == _snap_dict(want.cost)
+        assert _snap_dict(session.lane_snapshot(lane)) == _snap_dict(
+            scalar.snapshot()
+        )
+        statuses.append(got.status)
+    return statuses
 
 
 def test_matvec_lanes_match_scalar_runs():
