@@ -337,76 +337,70 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fault_workload(args: argparse.Namespace):
-    """Build the seeded resilient-workload factory for faults/abft.
+def _emit_resilient(args, session, report, matches, data, lines) -> int:
+    """Finish a faults/abft run: error fields, ``--trace-out``, status."""
+    if report.error is not None:
+        data["error"] = report.error
+        lines.append(f"last fault error : {report.error}")
+    if args.trace_out:
+        from .obs import to_chrome_trace
 
-    Integer data keeps sum-reductions exact, so the recovered result can
-    be compared bit-for-bit against the fault-free baseline even after a
-    remap onto a smaller subcube (or an ABFT checkpoint replay).
+        to_chrome_trace(session.tracer, args.trace_out)
+        data["trace_out"] = args.trace_out
+    _emit(args, data, "\n".join(lines))
+    return 0 if (report.recovered and matches) else 1
+
+
+def _resilient_run(
+    args, counts: dict, checkpoint_every: int = 4, abft=None, policy=None
+):
+    """The shared faults/abft run over the ``add_resilient_args`` flags.
+
+    Runs the registry program fault-free (the bit-exact baseline and the
+    fault horizon), replays ``--fault-plan`` or seeds a plan with the
+    event ``counts``, and re-runs the program under ``run_resilient`` on
+    a faulted session.  Returns ``(plan, dry, session, report, matches)``.
     """
     from . import workloads as W
-    from .faults import gaussian_workload, matvec_workload, simplex_workload
-
-    rng = np.random.default_rng(args.seed)
-    size = args.size
-    # abft has no --checkpoint-every flag; keep its historical cadence.
-    every = int(getattr(args, "checkpoint_every", 4))
-    if args.workload == "gaussian":
-        A = rng.integers(-4, 5, size=(size, size)).astype(np.float64)
-        A += size * np.eye(size)
-        b = rng.integers(-4, 5, size=size).astype(np.float64)
-        return lambda: gaussian_workload(A, b, checkpoint_every=every)
-    if args.workload == "simplex":
-        lp = W.feasible_lp(size, size, seed=args.seed)
-        return lambda: simplex_workload(lp.A, lp.b, lp.c)
-    # matvec
-    A = rng.integers(-3, 4, size=(size, size)).astype(np.float64)
-    x = rng.integers(-3, 4, size=size).astype(np.float64)
-    return lambda: matvec_workload(A, x)
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
     from .faults import CheckpointStore, FaultPlan, run_resilient
 
-    make = _fault_workload(args)
-
-    # Fault-free dry run: the baseline result and the fault horizon.
+    program = W.program(args.workload, args.size, args.seed, checkpoint_every)
     dry = Session(args.n, args.cost_model)
-    baseline = make()(dry, CheckpointStore(dry))
-    horizon = args.at * max(dry.time, 1.0)
-
+    baseline = program(dry, CheckpointStore(dry))
     if args.fault_plan:
         plan = FaultPlan.from_json(args.fault_plan)
     else:
         plan = FaultPlan.random(
-            args.n,
-            seed=args.fault_seed,
-            horizon=horizon,
-            link_kills=args.link_kills,
-            node_kills=args.node_kills,
-            drops=args.drops,
+            args.n, seed=args.fault_seed,
+            horizon=args.at * max(dry.time, 1.0), **counts,
         )
-    from .faults import CheckpointPolicy
-
-    policy = CheckpointPolicy(
-        strategy=args.checkpoint_strategy, every=args.checkpoint_every
-    )
     session = Session(
-        args.n, args.cost_model, faults=plan, trace=bool(args.trace_out)
+        args.n, args.cost_model, faults=plan, abft=abft,
+        trace=bool(args.trace_out),
     )
     report = run_resilient(
-        session, make(), max_recoveries=args.max_recoveries, policy=policy
+        session, program, max_recoveries=args.max_recoveries, policy=policy
     )
     matches = bool(
         report.recovered
         and report.result is not None
         and np.array_equal(np.asarray(report.result), np.asarray(baseline))
     )
-    if args.trace_out:
-        from .obs import to_chrome_trace
+    return plan, dry, session, report, matches
 
-        to_chrome_trace(session.tracer, args.trace_out)
 
+def _cmd_faults(args: argparse.Namespace) -> int:
+    from .faults import CheckpointPolicy
+
+    plan, dry, session, report, matches = _resilient_run(
+        args,
+        dict(link_kills=args.link_kills, node_kills=args.node_kills,
+             drops=args.drops),
+        checkpoint_every=args.checkpoint_every,
+        policy=CheckpointPolicy(
+            strategy=args.checkpoint_strategy, every=args.checkpoint_every
+        ),
+    )
     st = report.stats
     data = {
         "workload": args.workload,
@@ -423,10 +417,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         "time": session.time,
         "fault_free_time": dry.time,
     }
-    if report.error is not None:
-        data["error"] = report.error
-    if args.trace_out:
-        data["trace_out"] = args.trace_out
     ck = report.checkpoint or {}
     lines = [
         f"workload '{args.workload}' ({args.size}x{args.size}) "
@@ -452,58 +442,21 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             f"re-expansion     : {report.promotions} promotions "
             f"({st.node_heals} node / {st.link_heals} link heals)"
         )
-    if report.error is not None:
-        lines.append(f"last fault error : {report.error}")
-    _emit(args, data, "\n".join(lines))
-    return 0 if (report.recovered and matches) else 1
+    return _emit_resilient(args, session, report, matches, data, lines)
 
 
 def _cmd_abft(args: argparse.Namespace) -> int:
     from .abft import ABFTManager
-    from .faults import CheckpointStore, FaultPlan, run_resilient
 
-    make = _fault_workload(args)
-
-    # Fault-free dry run with ABFT *off*: the bit-exact baseline and the
-    # corruption horizon.  Recovery must reproduce this result exactly.
-    dry = Session(args.n, args.cost_model)
-    baseline = make()(dry, CheckpointStore(dry))
-    horizon = args.at * max(dry.time, 1.0)
-
-    if args.fault_plan:
-        plan = FaultPlan.from_json(args.fault_plan)
-    else:
-        plan = FaultPlan.random(
-            args.n,
-            seed=args.fault_seed,
-            horizon=horizon,
-            link_kills=0,
-            node_kills=0,
-            drops=0,
-            bit_flips=args.bit_flips,
-            link_corruptions=args.link_corruptions,
-        )
+    # The dry run keeps ABFT *off*: recovery must reproduce its result
+    # bit-for-bit with the checksum layer attached.
     manager = ABFTManager(scrub_interval=args.scrub_interval)
-    session = Session(
-        args.n,
-        args.cost_model,
-        faults=plan,
+    plan, dry, session, report, matches = _resilient_run(
+        args,
+        dict(link_kills=0, node_kills=0, drops=0, bit_flips=args.bit_flips,
+             link_corruptions=args.link_corruptions),
         abft=manager,
-        trace=bool(args.trace_out),
     )
-    report = run_resilient(
-        session, make(), max_recoveries=args.max_recoveries
-    )
-    matches = bool(
-        report.recovered
-        and report.result is not None
-        and np.array_equal(np.asarray(report.result), np.asarray(baseline))
-    )
-    if args.trace_out:
-        from .obs import to_chrome_trace
-
-        to_chrome_trace(session.tracer, args.trace_out)
-
     st = report.stats
     ab = manager.stats
     c = session.machine.counters
@@ -527,10 +480,6 @@ def _cmd_abft(args: argparse.Namespace) -> int:
         "fault_free_time": dry.time,
         "overhead": overhead,
     }
-    if report.error is not None:
-        data["error"] = report.error
-    if args.trace_out:
-        data["trace_out"] = args.trace_out
     lines = [
         f"workload '{args.workload}' ({args.size}x{args.size}) "
         f"on p={2 ** args.n} under {plan!r}",
@@ -547,10 +496,7 @@ def _cmd_abft(args: argparse.Namespace) -> int:
         f"simulated time   : {session.time:,.0f} ticks "
         f"(fault-free {dry.time:,.0f}, overhead {overhead:.2f}x)",
     ]
-    if report.error is not None:
-        lines.append(f"last fault error : {report.error}")
-    _emit(args, data, "\n".join(lines))
-    return 0 if (report.recovered and matches) else 1
+    return _emit_resilient(args, session, report, matches, data, lines)
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
@@ -938,6 +884,23 @@ def main(argv=None) -> int:
             help="attach the ABFT checksum layer (detects and corrects "
                  "silent data corruption)")
 
+    def add_resilient_args(p):
+        # Shared by `faults` and `abft`; --seed seeds the registry problem.
+        p.add_argument("--workload", default="gaussian",
+                       choices=["gaussian", "simplex", "matvec"])
+        p.add_argument("--size", type=int, default=16)
+        p.add_argument("--fault-seed", type=int, default=0,
+                       help="seed for the random fault plan")
+        p.add_argument("--max-recoveries", type=int, default=2)
+        p.add_argument("--at", type=float, default=0.6,
+                       help="fault horizon as a fraction of the "
+                            "fault-free runtime (default 0.6)")
+        p.add_argument("--fault-plan", default=None, metavar="FILE",
+                       help="replay a recorded JSON fault plan instead "
+                            "of a seeded random one")
+        p.add_argument("--trace-out", default=None,
+                       help="also write a Chrome trace-event file here")
+
     p_info = sub.add_parser("info", help="machine summary")
     add_machine_args(p_info)
     p_info.set_defaults(fn=_cmd_info)
@@ -987,23 +950,10 @@ def main(argv=None) -> int:
         help="run a workload under seeded faults and verify recovery",
     )
     add_machine_args(p_faults)
-    p_faults.add_argument("--workload", default="gaussian",
-                          choices=["gaussian", "simplex", "matvec"])
-    p_faults.add_argument("--size", type=int, default=16)
-    p_faults.add_argument("--fault-seed", type=int, default=0,
-                          help="seed for the random fault plan")
+    add_resilient_args(p_faults)
     p_faults.add_argument("--node-kills", type=int, default=1)
     p_faults.add_argument("--link-kills", type=int, default=1)
     p_faults.add_argument("--drops", type=int, default=2)
-    p_faults.add_argument("--max-recoveries", type=int, default=2)
-    p_faults.add_argument("--at", type=float, default=0.6,
-                          help="fault horizon as a fraction of the "
-                               "fault-free runtime (default 0.6)")
-    p_faults.add_argument("--trace-out", default=None,
-                          help="also write a Chrome trace-event file here")
-    p_faults.add_argument("--fault-plan", default=None, metavar="FILE",
-                          help="replay a recorded JSON fault plan instead "
-                               "of a seeded random one")
     p_faults.add_argument("--checkpoint-strategy", default="host",
                           choices=["host", "diskless", "incremental"],
                           help="checkpoint cost model: host gather "
@@ -1019,11 +969,7 @@ def main(argv=None) -> int:
         help="inject silent data corruption and verify checksum recovery",
     )
     add_machine_args(p_abft)
-    p_abft.add_argument("--workload", default="gaussian",
-                        choices=["gaussian", "simplex", "matvec"])
-    p_abft.add_argument("--size", type=int, default=16)
-    p_abft.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for the random corruption plan")
+    add_resilient_args(p_abft)
     p_abft.add_argument("--bit-flips", type=int, default=2,
                         help="stored-element bit flips to inject (default 2)")
     p_abft.add_argument("--link-corruptions", type=int, default=1,
@@ -1031,15 +977,6 @@ def main(argv=None) -> int:
     p_abft.add_argument("--scrub-interval", type=int, default=16,
                         help="scrub the registry every N protections "
                              "(0 disables; default 16)")
-    p_abft.add_argument("--max-recoveries", type=int, default=2)
-    p_abft.add_argument("--at", type=float, default=0.6,
-                        help="corruption horizon as a fraction of the "
-                             "fault-free runtime (default 0.6)")
-    p_abft.add_argument("--fault-plan", default=None, metavar="FILE",
-                        help="replay a recorded JSON fault plan instead "
-                             "of a seeded random one")
-    p_abft.add_argument("--trace-out", default=None,
-                        help="also write a Chrome trace-event file here")
     p_abft.set_defaults(fn=_cmd_abft)
 
     p_graph = sub.add_parser(

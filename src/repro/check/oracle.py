@@ -19,8 +19,9 @@ must stay fast enough to run in CI on every push.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -451,39 +452,29 @@ def run_case(
 
 
 def _recovery_workloads(seed: int):
-    """The tier-1 workloads as (name, workload_factory, reference) triples."""
-    from ..faults.recovery import (
-        gaussian_workload,
-        matvec_workload,
-        simplex_workload,
-    )
+    """The tier-1 workloads as ``(name, program_factory, check)`` triples.
 
+    The sizes and seeds are the oracle's own; the resilient programs and the
+    checks (``""`` when correct) come from :data:`repro.workloads.WORKLOADS`.
+    """
     A, b, _ = workloads.diagonally_dominant_system(12, seed)
     lp = workloads.feasible_lp(5, 8, seed)
-    rng = np.random.default_rng(seed)
+    W = workloads.WORKLOADS
     # Integer-valued data keeps sum-reductions exact, so the recovered
     # result stays bit-identical to fault-free even though the survivor
     # subcube reduces in a different association order.
-    M = rng.integers(-3, 4, size=(10, 10)).astype(np.float64)
-    x0 = rng.integers(-3, 4, size=10).astype(np.float64)
-    y_ref = x0
-    for _ in range(3):
-        y_ref = M @ y_ref
-    return (
-        ("gaussian", lambda: gaussian_workload(A, b), np.linalg.solve(A, b)),
-        (
-            "simplex",
-            lambda: simplex_workload(lp.A, lp.b, lp.c),
-            None,  # reference computed from the fault-free run below
-        ),
-        ("matvec", lambda: matvec_workload(M, x0, reps=3), y_ref),
+    matvec = W["matvec"].problem(10, seed, reps=3)
+    cells = (("gaussian", (A, b)), ("simplex", lp), ("matvec", matvec))
+    return tuple(
+        (name, partial(W[name].resilient, data), partial(W[name].check, data))
+        for name, data in cells
     )
 
 
 def run_recovery_case(
     name: str,
     make_workload,
-    reference: Optional[np.ndarray],
+    check: Callable[[np.ndarray], str],
     seed: int,
     n_dims: int = 4,
 ) -> CaseResult:
@@ -491,7 +482,8 @@ def run_recovery_case(
 
     Self-calibrating: the fault-free run measures total simulated time,
     then a node kill is scheduled at 40% of it and the workload re-run
-    under :func:`repro.faults.run_resilient` on a fresh session.
+    under :func:`repro.faults.run_resilient` on a fresh session.  The
+    fault-free result must first pass ``check`` (``""`` when correct).
     """
     from ..faults.checkpoint import CheckpointStore
     from ..faults.plan import FaultPlan, NodeKill
@@ -505,13 +497,12 @@ def run_recovery_case(
     }
     clean = Session(n_dims, cost_model="cm2", sanitize=True)
     baseline = make_workload()(clean, CheckpointStore(clean))
-    if reference is not None:
-        ok = bool(np.allclose(baseline, reference, rtol=1e-7, atol=1e-7))
-        if not ok:
-            return CaseResult(
-                f"recovery:{name}", config, False, float("inf"),
-                "fault-free run diverges from reference",
-            )
+    detail = check(baseline)
+    if detail:
+        return CaseResult(
+            f"recovery:{name}", config, False, float("inf"),
+            f"fault-free run diverges from reference: {detail}",
+        )
     kill_at = 0.4 * clean.time
     plan = FaultPlan([NodeKill(time=kill_at, pid=1)])
     faulted = Session(n_dims, cost_model="cm2", faults=plan, sanitize=True)
@@ -536,7 +527,7 @@ def run_recovery_case(
 def run_sdc_case(
     name: str,
     make_workload,
-    reference: Optional[np.ndarray],
+    check: Callable[[np.ndarray], str],
     seed: int,
     n_dims: int = 4,
     flips: int = 1,
@@ -567,12 +558,12 @@ def run_sdc_case(
     label = f"sdc:{name}" if flips == 1 else f"sdc-multi:{name}"
     clean = Session(n_dims, cost_model="cm2", sanitize=True)
     baseline = make_workload()(clean, CheckpointStore(clean))
-    if reference is not None:
-        if not bool(np.allclose(baseline, reference, rtol=1e-7, atol=1e-7)):
-            return CaseResult(
-                label, config, False, float("inf"),
-                "fault-free run diverges from reference",
-            )
+    detail = check(baseline)
+    if detail:
+        return CaseResult(
+            label, config, False, float("inf"),
+            f"fault-free run diverges from reference: {detail}",
+        )
     flip_at = 0.4 * clean.time
     # All flips hit distinct bytes of the most recently protected array at
     # the same instant: one is a correctable single-byte error, two or
@@ -734,18 +725,16 @@ def run_differential(
         for cm, cache, trace in matrix:
             results.append(run_case(case, cm, cache, trace, seed, n_dims))
     recovery = _recovery_workloads(seed)
-    for name, make_workload, reference in recovery:
+    for name, make_workload, check in recovery:
         results.append(
-            run_recovery_case(name, make_workload, reference, seed, n_dims)
+            run_recovery_case(name, make_workload, check, seed, n_dims)
         )
-    for name, make_workload, reference in recovery:
-        results.append(
-            run_sdc_case(name, make_workload, reference, seed, n_dims)
-        )
+    for name, make_workload, check in recovery:
+        results.append(run_sdc_case(name, make_workload, check, seed, n_dims))
     # One multi-error cell: defeats the single-error code, must replay.
-    g_name, g_factory, g_reference = recovery[0]
+    g_name, g_factory, g_check = recovery[0]
     results.append(
-        run_sdc_case(g_name, g_factory, g_reference, seed, n_dims, flips=2)
+        run_sdc_case(g_name, g_factory, g_check, seed, n_dims, flips=2)
     )
     # Batched-execution axis: lanes vs their own scalar runs, bit-for-bit.
     batched_workloads = ("gaussian", "matvec") if quick else (

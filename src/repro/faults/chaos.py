@@ -1,7 +1,8 @@
 """Chaos campaigns: randomized fault schedules with shrinking.
 
 A *campaign* runs many independent, seeded **schedules**.  Each schedule
-draws a workload (gaussian / simplex / matvec on integer data), a feature
+draws a workload (a :data:`repro.workloads.WORKLOADS` entry: gaussian /
+simplex / matvec / bfs on its seeded integer problem), a feature
 flag combination (ABFT, sanitizer, plan cache, straggler avoidance,
 hedged retransmission) and a pseudo-random :class:`~repro.faults.plan.
 FaultPlan` mixing fail-stop, silent-data-corruption and gray-failure
@@ -16,8 +17,9 @@ reproduces the failure is written out as a replayable JSON fault plan, so
 minimal counterexample deterministically.
 
 The module is imported only by the ``repro chaos`` CLI command and by
-tests — fault-free production runs never load it (pinned by
-``tests/test_gray_faults.py``).
+tests — fault-free production runs, the ``repro faults`` CLI and the
+warehouse never load it (pinned by ``tests/test_gray_faults.py`` and
+``tests/test_workloads.py``).
 """
 
 from __future__ import annotations
@@ -30,20 +32,16 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import workloads as W
 from ..core.session import Session
 from ..errors import ConfigError, ReproError
 from .checkpoint import CheckpointStore
 from .injector import FaultInjector, RetryPolicy
 from .plan import FaultPlan, NodeHeal, NodeKill
-from .recovery import (
-    gaussian_workload,
-    matvec_workload,
-    run_resilient,
-    simplex_workload,
-)
+from .recovery import run_resilient
 from .strategies import STRATEGIES, CheckpointPolicy
 
-WORKLOADS = ("gaussian", "simplex", "matvec", "bfs")
+WORKLOADS = tuple(W.WORKLOADS)
 
 #: flag name -> probability the schedule generator turns it on.
 FLAG_PROBS = {
@@ -59,46 +57,6 @@ FLAG_PROBS = {
 # workloads + baselines
 # ---------------------------------------------------------------------------
 
-def build_workload(
-    workload: str, size: int, prob_seed: int, checkpoint_every: int = 4
-) -> Callable[[], Callable]:
-    """Seeded problem builder mirroring the ``repro faults`` recipes.
-
-    Integer data keeps sum-reductions exact, so faulted results compare
-    bit-for-bit against the fault-free baseline even after a subcube
-    remap.  Duplicated here (rather than imported from ``__main__``) so
-    the CLI's fault path never depends on this module.
-    ``checkpoint_every`` only affects the gaussian workload (the others
-    restart rather than resume) and never changes the numerical result.
-    """
-    rng = np.random.default_rng(prob_seed)
-    if workload == "gaussian":
-        A = rng.integers(-4, 5, size=(size, size)).astype(np.float64)
-        A += size * np.eye(size)
-        b = rng.integers(-4, 5, size=size).astype(np.float64)
-        return lambda: gaussian_workload(A, b, checkpoint_every=checkpoint_every)
-    if workload == "simplex":
-        from .. import workloads as W
-
-        lp = W.feasible_lp(size, size, seed=prob_seed)
-        return lambda: simplex_workload(lp.A, lp.b, lp.c)
-    if workload == "matvec":
-        A = rng.integers(-3, 4, size=(size, size)).astype(np.float64)
-        x = rng.integers(-3, 4, size=size).astype(np.float64)
-        return lambda: matvec_workload(A, x)
-    if workload == "bfs":
-        # size doubles as the vertex count; integer levels make the
-        # recovered traversal bit-identical to the fault-free baseline.
-        from .. import workloads as W
-        from ..algorithms.graph import bfs_workload
-
-        g = W.random_graph(size, 3.0, seed=prob_seed)
-        return lambda: bfs_workload(g, 0)
-    raise ConfigError(
-        f"unknown chaos workload {workload!r}; choose from {WORKLOADS}"
-    )
-
-
 class BaselineCache:
     """Fault-free results, memoized per (workload, size, prob_seed, n)."""
 
@@ -112,9 +70,10 @@ class BaselineCache:
         key = (workload, size, prob_seed, n_dims)
         hit = self._cache.get(key)
         if hit is None:
-            make = build_workload(workload, size, prob_seed)
             dry = Session(n_dims)
-            result = make()(dry, CheckpointStore(dry))
+            result = W.program(workload, size, prob_seed)(
+                dry, CheckpointStore(dry)
+            )
             hit = (np.asarray(result), float(dry.time))
             self._cache[key] = hit
         return hit
@@ -255,7 +214,7 @@ def run_schedule(
     base_result, _ = baselines.get(
         schedule.workload, schedule.size, schedule.prob_seed, schedule.n_dims
     )
-    make = build_workload(
+    program = W.program(
         schedule.workload,
         schedule.size,
         schedule.prob_seed,
@@ -293,7 +252,9 @@ def run_schedule(
         policy = CheckpointPolicy(
             strategy=schedule.strategy, every=schedule.checkpoint_every
         )
-        report = run_resilient(session, make(), max_recoveries=3, policy=policy)
+        report = run_resilient(
+            session, program, max_recoveries=3, policy=policy
+        )
     except ReproError as exc:
         # A sanitizer invariant violation (or any other escaped repro
         # error) is exactly the bug class the campaign hunts.
@@ -338,7 +299,7 @@ def checkpoint_windows(
     clock trajectory up to its first fault — so an event placed inside a
     window is guaranteed to fire during the save's charged collection.
     """
-    make = build_workload(
+    program = W.program(
         workload, size, prob_seed, checkpoint_every=checkpoint_every
     )
     session = Session(n_dims)
@@ -353,7 +314,7 @@ def checkpoint_windows(
         return ck
 
     store.save = recording_save  # type: ignore[method-assign]
-    make()(session, store)
+    program(session, store)
     return windows
 
 
@@ -773,7 +734,6 @@ def straggler_record(
 __all__ = [
     "BaselineCache",
     "ChaosSchedule",
-    "build_workload",
     "campaign_record",
     "checkpoint_windows",
     "generate_checkpoint_schedules",

@@ -27,8 +27,8 @@ recovered numerical result identical to the fault-free one (pinned by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -324,19 +324,11 @@ def matvec_workload(
     A: np.ndarray, x: np.ndarray, reps: int = 4
 ) -> Callable[[Any, CheckpointStore], np.ndarray]:
     """Repeated ``y = A x`` (an iterative-solver stand-in); restarts."""
+    from ..workloads import WORKLOADS
+
     A = np.asarray(A, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-
-    def run(session: Any, store: CheckpointStore) -> np.ndarray:
-        store.restore()
-        dA = session.matrix(A)
-        y = x
-        for _ in range(reps):
-            vec = session.row_vector(y, dA)
-            y = dA.matvec(vec).to_numpy()
-        return y
-
-    return run
+    return WORKLOADS["matvec"].resilient((A, x, reps))
 
 
 __all__ = [

@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import workloads as W
 from ..errors import ConfigError
 from .profiler import PhaseProfiler
 from .registry import MetricsRegistry
@@ -228,96 +229,18 @@ def load_table(name_or_path: str) -> List[RunSpec]:
 # workload execution
 # ---------------------------------------------------------------------------
 
-def _scalar_workload(
-    workload: str, params: Dict[str, Any]
-) -> Tuple[Callable[[Any], Any], Callable[[Any], Tuple[bool, str]]]:
-    """``(run(session) -> result, validate(result) -> (ok, detail))``."""
-    from .. import workloads as W
-    from ..algorithms import gaussian, simplex
-
-    if workload == "gaussian":
-        order = int(params["order"])
-        A, b, _ = W.diagonally_dominant_system(order, seed=order)
-        reference = np.linalg.solve(A, b)
-
-        def run(session: Any) -> Any:
-            return gaussian.solve(session.matrix(A), b)
-
-        def validate(result: Any) -> Tuple[bool, str]:
-            if np.allclose(result.x, reference, atol=1e-6):
-                return True, ""
-            err = float(np.abs(result.x - reference).max())
-            return False, f"gaussian max error {err:.2e} vs numpy reference"
-
-        return run, validate
-
-    if workload == "simplex":
-        m, n = int(params["m"]), int(params["n"])
-        lp = W.feasible_lp(m, n, seed=m * 31 + n)
-
-        def run(session: Any) -> Any:
-            return simplex.solve(session.machine, lp.A, lp.b, lp.c)
-
-        def validate(result: Any) -> Tuple[bool, str]:
-            if result.status != "optimal":
-                return False, f"simplex status {result.status!r}"
-            x = np.asarray(result.x)
-            if x.min(initial=0.0) < -1e-9:
-                return False, "simplex solution violates x >= 0"
-            slack = lp.A @ x - lp.b
-            if slack.max(initial=0.0) > 1e-6:
-                return False, "simplex solution violates A x <= b"
-            return True, ""
-
-        return run, validate
-
-    if workload == "matvec":
-        n = int(params["n"])
-        iters = int(params.get("iters", 3))
-        rng = np.random.default_rng(n)
-        A = rng.integers(-3, 4, size=(n, n)).astype(np.float64)
-        x0 = rng.integers(-3, 4, size=n).astype(np.float64)
-        reference = x0
-        for _ in range(iters):
-            reference = A @ reference
-
-        def run(session: Any) -> Any:
-            dA = session.matrix(A)
-            y = x0
-            for _ in range(iters):
-                y = dA.matvec(session.row_vector(y, dA)).to_numpy()
-            return y
-
-        def validate(result: Any) -> Tuple[bool, str]:
-            # Integer-valued data keeps every reduction exact, so the
-            # simulated result must equal the dense product bit-for-bit.
-            if np.array_equal(np.asarray(result), reference):
-                return True, ""
-            return False, "matvec result differs from dense reference"
-
-        return run, validate
-
-    if workload == "graph_bfs":
-        from ..algorithms import graph as G
-
-        nodes = int(params["nodes"])
-        degree = float(params.get("degree", 3.0))
-        g = W.random_graph(nodes, degree, seed=nodes)
-        reference = G.bfs_reference(g, 0)
-
-        def run(session: Any) -> Any:
-            return G.bfs(session, g, 0)
-
-        def validate(result: Any) -> Tuple[bool, str]:
-            # Integer levels: the sparse traversal must equal the serial
-            # reference bit-for-bit.
-            if np.array_equal(result.values, reference):
-                return True, ""
-            return False, "bfs levels differ from the serial reference"
-
-        return run, validate
-
-    raise ConfigError(f"no scalar runner for workload {workload!r}")
+#: Scalar spec workload -> (registry entry, the warehouse's own seeded
+#: data draw).  The draws pin the recorded ticks, so they stay here.
+_SCALAR_DATA: Dict[str, Tuple[str, Callable[[Dict[str, Any]], Any]]] = {
+    "gaussian": ("gaussian", lambda p: W.diagonally_dominant_system(
+        int(p["order"]), seed=int(p["order"]))[:2]),
+    "simplex": ("simplex", lambda p: W.feasible_lp(
+        int(p["m"]), int(p["n"]), seed=int(p["m"]) * 31 + int(p["n"]))),
+    "matvec": ("matvec", lambda p: W.WORKLOADS["matvec"].problem(
+        int(p["n"]), int(p["n"]), reps=int(p.get("iters", 3)))),
+    "graph_bfs": ("bfs", lambda p: W.random_graph(
+        int(p["nodes"]), float(p.get("degree", 3.0)), seed=int(p["nodes"]))),
+}
 
 
 def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
@@ -326,7 +249,8 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
     flags = spec.resolved_flags()
     params = dict(spec.params)
     n_dims = int(params["n_dims"])
-    run, check = _scalar_workload(spec.workload, params)
+    name, draw = _SCALAR_DATA[spec.workload]
+    entry, data = W.WORKLOADS[name], draw(params)
 
     sanitize: Any = False
     if flags["sanitize"]:
@@ -349,15 +273,19 @@ def _run_scalar_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
         if session.abft is not None:
             session.abft.reset()
 
-    run(session)  # warm-up: first-touch plan construction is not the metric
+    def run() -> Any:
+        return entry.run(session, data)
+
+    run()  # warm-up: first-touch plan construction is not the metric
     profiler.start()
-    timed = best_of(lambda: run(session), spec.reps, setup=reset)
+    timed = best_of(run, spec.reps, setup=reset)
     profiler.stop()
 
     validated: Optional[bool] = None
     detail = ""
     if validate:
-        validated, detail = check(timed.result)
+        detail = entry.check(data, timed.result)
+        validated = not detail
 
     return {
         "wall_s": {"best": timed.best, "mean": timed.mean},
@@ -441,7 +369,6 @@ def _run_resilience_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
         FaultPlan,
         run_resilient,
     )
-    from ..faults.chaos import build_workload
 
     params = dict(spec.params)
     n_dims = int(params["n_dims"])
@@ -452,10 +379,10 @@ def _run_resilience_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
     fault_seed = int(params.get("fault_seed", 0))
     prob_seed = int(params.get("prob_seed", 0))
 
-    make = build_workload(inner, size, prob_seed, checkpoint_every=every)
+    program = W.program(inner, size, prob_seed, checkpoint_every=every)
 
     dry = Session(n_dims)
-    baseline = np.asarray(make()(dry, CheckpointStore(dry)))
+    baseline = np.asarray(program(dry, CheckpointStore(dry)))
     horizon = 0.6 * max(dry.time, 1.0)
     plan_template = FaultPlan.random(
         n_dims,
@@ -471,7 +398,7 @@ def _run_resilience_spec(spec: RunSpec, validate: bool) -> Dict[str, Any]:
         session = Session(n_dims, faults=injector)
         policy = CheckpointPolicy(strategy=strategy, every=every)
         report = run_resilient(
-            session, make(), max_recoveries=3, policy=policy
+            session, program, max_recoveries=3, policy=policy
         )
         return session, report
 

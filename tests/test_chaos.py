@@ -67,7 +67,7 @@ class TestScheduleGeneration:
         with pytest.raises(ConfigError, match="workload"):
             chaos.generate_schedules(2, workloads=("gaussian", "mystery"))
         with pytest.raises(ConfigError, match="workload"):
-            chaos.build_workload("mystery", 8, 0)
+            chaos.checkpoint_windows("mystery", 8, 0, 4)
 
 
 # ---------------------------------------------------------------------------

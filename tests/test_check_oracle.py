@@ -9,6 +9,7 @@ full matrix.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.check.oracle import (
     CASES,
@@ -18,6 +19,7 @@ from repro.check.oracle import (
     run_case,
     run_differential,
     run_recovery_case,
+    run_sdc_case,
     _recovery_workloads,
 )
 
@@ -87,3 +89,21 @@ def test_recovery_case_matches_fault_free_baseline():
     assert result.config["axis"] == "fault-recovered"
     assert result.config["recovered"]
     assert result.config["final_p"] < 16
+
+
+@pytest.mark.parametrize(
+    "run_cell", [run_recovery_case, run_sdc_case], ids=["recovery", "sdc"]
+)
+def test_simplex_cells_check_the_fault_free_result(run_cell):
+    """A feasible but suboptimal fault-free x (zeros) fails the cell before
+    any fault is injected, however faithfully recovery reproduces it."""
+    name, make_workload, check = _recovery_workloads(seed=0)[1]
+    assert name == "simplex"
+
+    def suboptimal():
+        program = make_workload()
+        return lambda session, store: np.zeros_like(program(session, store))
+
+    result = run_cell(name, suboptimal, check, seed=0, n_dims=4)
+    assert not result.passed
+    assert result.detail.startswith("fault-free run diverges from reference")

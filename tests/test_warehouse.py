@@ -114,6 +114,33 @@ class TestRunAndValidate:
 # -- the CLI lifecycle: run -> pin -> report ----------------------------------
 
 
+@pytest.mark.parametrize("table", ["smoke", "resilience"])
+def test_builtin_table_reproduces_its_pin_exactly(table):
+    """Every row of the committed baselines, reproduced tick for tick.
+
+    The CI gate only fails on tick increases; this pin also refuses
+    improvements and new or missing keys, so a refactor that moved a row
+    onto a different (even cheaper) problem shows up here.
+    """
+    path = (Path(__file__).resolve().parent.parent / "benchmarks"
+            / "warehouse" / f"baselines_{table}.json")
+    baselines = wh.load_baselines(str(path))
+    records = wh.run_table(wh.load_table(table), validate=True, reps=1)
+    assert all(r["validated"] for r in records), [
+        r["validate_detail"] for r in records if not r["validated"]
+    ]
+    result = wh.compare(records, baselines)
+    assert result["compared"] == len(baselines["entries"]) == len(records)
+    assert result["regressions"] == []
+    assert result["improvements"] == []
+    assert result["new"] == [] and result["missing"] == []
+    for record in records:
+        key = wh.record_key(
+            record["workload"], record["params"], record["flags"]
+        )
+        assert record["sim"]["time"] == baselines["entries"][key]["sim_time"]
+
+
 class TestBenchCli:
     def test_run_pin_report_pass(self, tiny_table, tmp_path, capsys):
         out = str(tmp_path / "wh")

@@ -1,4 +1,9 @@
-"""Unit tests for the workload generators."""
+"""Unit tests for the workload generators and the application registry."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,3 +87,108 @@ class TestLPs:
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.b, b.b)
         assert np.array_equal(a.c, b.c)
+
+
+# ---------------------------------------------------------------------------
+# the application registry
+# ---------------------------------------------------------------------------
+
+
+def _perturbed(name, out):
+    """A wrong answer each ``check`` must reject."""
+    out = np.array(out, copy=True)
+    if name == "gaussian":
+        out[0] += 1e-3
+    elif name == "simplex":
+        out = np.zeros_like(out)  # feasible (b > 0) but suboptimal
+    else:  # matvec: one unit off; bfs: the last vertex one level off
+        out[-1 if name == "bfs" else 0] += 1
+    return out
+
+
+@pytest.mark.parametrize("size", [8, 12])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(W.WORKLOADS))
+def test_registry_entry_runs_resilient_and_checks(name, seed, size):
+    from repro import Session
+    from repro.faults import CheckpointStore
+
+    entry = W.WORKLOADS[name]
+    data = entry.problem(size, seed)
+    plain = Session(3)
+    out = entry.run(plain, data)
+    resilient = Session(3)
+    got = entry.resilient(data)(resilient, CheckpointStore(resilient))
+    assert np.array_equal(got, out)
+    assert got.dtype == out.dtype
+    if name != "gaussian":  # gaussian also pays for its checkpoint saves
+        assert resilient.snapshot() == plain.snapshot()
+    assert entry.check(data, out) == ""
+    assert entry.check(data, _perturbed(name, out)) != ""
+
+
+def test_unknown_workload_is_a_config_error():
+    from repro.errors import ConfigError
+    from repro.metrics import warehouse as wh
+
+    with pytest.raises(ConfigError, match="mystery"):
+        W.program("mystery", 8, 0)
+    spec = wh.RunSpec("resilience", {"n_dims": 3, "size": 8,
+                                     "workload": "mystery"}, reps=1)
+    with pytest.raises(ConfigError, match="mystery"):
+        wh.run_spec(spec, validate=False)
+
+
+_LIGHT_IMPORT = """
+import json, sys
+import repro.workloads
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
+"""
+
+
+def _subprocess_json(code):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin",
+                         "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_importing_the_registry_stays_light():
+    loaded = _subprocess_json(_LIGHT_IMPORT)
+    assert "repro.workloads" in loaded
+    for heavy in ("repro.faults", "repro.sparse", "repro.batch",
+                  "repro.abft", "repro.metrics", "repro.algorithms.graph"):
+        assert not any(
+            m == heavy or m.startswith(heavy + ".") for m in loaded
+        ), heavy
+
+
+_CONSUMER_RUNS = {
+    "warehouse": """
+from repro.metrics import warehouse as wh
+spec = wh.RunSpec("resilience", {"n_dims": 3, "size": 8, "workload": "matvec",
+                  "strategy": "host", "every": 2}, reps=1)
+ok = wh.run_spec(spec, validate=True)["validated"] is True
+""",
+    "cli": """
+import contextlib, io
+from repro.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()):
+    ok = main(["faults", "-n", "3", "--workload", "simplex", "--size", "8",
+               "--json"]) == 0
+""",
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_CONSUMER_RUNS))
+def test_resilient_consumers_never_import_chaos(consumer):
+    """The warehouse and the CLI reach the resilient programs through the
+    registry, never through the chaos harness."""
+    sub = _subprocess_json(
+        "import json, sys\n" + _CONSUMER_RUNS[consumer]
+        + 'print(json.dumps([ok, "repro.faults.chaos" in sys.modules]))\n'
+    )
+    assert sub == [True, False]
