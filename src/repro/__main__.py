@@ -66,11 +66,13 @@ from . import Session, __version__
 from .errors import ConfigError, CorruptionError
 
 
-def _emit(args: argparse.Namespace, data: dict, text: str) -> None:
+def _emit(args: argparse.Namespace, data: dict, text: str, session=None) -> None:
+    """Print ``data`` as JSON or ``text`` (plus the session's profile table)."""
     if getattr(args, "json", False):
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(text)
+        profiler = session.profiler if session is not None else None
+        print(text if profiler is None else f"{text}\n\n{profiler.format_table()}")
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -213,9 +215,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     )
     data = dict(session.report_data(), embedding=repr(A.embedding))
     text = f"embedded: {A.embedding!r}\n\n{session.report()}"
-    if session.profiler is not None:
-        text += "\n\n" + session.profiler.format_table()
-    _emit(args, data, text)
+    _emit(args, data, text, session)
     return 0
 
 
@@ -270,9 +270,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"{st.detour_rounds} detour rounds"
         )
     lines += [f"  {name:<20s} {t:>14,.0f}" for name, t in phases]
-    if session.profiler is not None:
-        lines += ["", session.profiler.format_table()]
-    _emit(args, data, "\n".join(lines))
+    _emit(args, data, "\n".join(lines), session)
     return 0
 
 
@@ -331,9 +329,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         lines.append(f"metrics jsonl    : {args.metrics_jsonl} "
                      f"({metrics_lines} lines)")
     lines += ["", session.report()]
-    if session.profiler is not None:
-        lines += ["", session.profiler.format_table()]
-    _emit(args, data, "\n".join(lines))
+    _emit(args, data, "\n".join(lines), session)
     return 0
 
 
@@ -551,9 +547,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         f"matches reference: {matches}",
         f"simulated time   : {result.cost.time:,.0f} ticks",
     ]
-    if session.profiler is not None:
-        lines += ["", session.profiler.format_table()]
-    _emit(args, data, "\n".join(lines))
+    _emit(args, data, "\n".join(lines), session)
     return 0 if matches else 1
 
 

@@ -164,9 +164,8 @@ class ABFTManager:
         # Audit before any charge: the charged rounds below may poll the
         # fault injector, and a flip landing there is *supposed* to diverge
         # from the stored panels — the identity only holds right here.
-        sanitizer = machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.audit_abft_panels(machine, pvar, (col, row))
+        for audit in machine.hooks.audit_abft_panels:
+            audit(machine, pvar, (col, row))
         with machine.phase("abft-maintain"):
             # Column word: one fold over the local block.  Row panel: an
             # n-round exchange accumulating per-slot sums across the cube.
@@ -234,9 +233,7 @@ class ABFTManager:
                 self._check(pv, col, row)
         self.stats.scrubs += 1
         self.stats.verifies += len(entries)
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.instant("abft:scrub", "abft", blocks=len(entries))
+        machine.instant("abft:scrub", "abft", blocks=len(entries))
         return len(entries)
 
     def _check(self, pvar: Any, col: np.ndarray, row: np.ndarray) -> None:
@@ -248,9 +245,7 @@ class ABFTManager:
         counters = machine.counters
         counters.abft_detected += 1
         self.stats.detected += 1
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.instant("abft:detect", "abft", status=status)
+        machine.instant("abft:detect", "abft", status=status)
         if status == "single":
             pid, byte_slot, delta = info
             pvar.data = correct_single(pvar.data, pid, byte_slot, delta)
@@ -264,14 +259,10 @@ class ABFTManager:
                 )
             counters.abft_corrected += 1
             self.stats.corrected += 1
-            if tracer is not None:
-                tracer.instant(
-                    "abft:correct", "abft", pid=pid, byte_slot=byte_slot
-                )
+            machine.instant("abft:correct", "abft", pid=pid, byte_slot=byte_slot)
             return
         self.stats.uncorrectable += 1
-        if tracer is not None:
-            tracer.instant("abft:uncorrectable", "abft", panels=info)
+        machine.instant("abft:uncorrectable", "abft", panels=info)
         bad_cols, bad_rows = info
         raise CorruptionError(
             f"checksum block holds multiple corrupted elements "
@@ -292,9 +283,7 @@ class ABFTManager:
         counters.abft_corrected += 1
         self.stats.detected += 1
         self.stats.corrected += 1
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.instant("abft:wire-retransmit", "abft", dim=dim)
+        machine.instant("abft:wire-retransmit", "abft", dim=dim)
 
 
 __all__ = ["ABFTManager", "ABFTStats"]

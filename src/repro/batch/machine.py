@@ -120,29 +120,34 @@ class BatchHypercube(Hypercube):
     # They audit or perturb one scalar machine; a batched one can only
     # detach them (``None``).
 
-    def _scalar_only(self, what: str, value: Any) -> None:
+    #: Observer roles and interceptors a batched machine rejects.
+    SCALAR_ONLY = {
+        "tracer": "tracing",
+        "sanitizer": "the machine sanitizer",
+        "abft": "ABFT checksumming",
+        "faults": "fault injection",
+    }
+
+    def _scalar_only(self, role: str, value: Any) -> None:
         if value is not None:
             raise ConfigError(
-                f"{what} is not supported on a BatchHypercube; lanes are "
-                "bit-identical to scalar runs, so attach it on the scalar "
-                "path (repro.batch.sweep routes such configs to scalar "
-                "sessions)"
+                f"{self.SCALAR_ONLY[role]} is not supported on a "
+                "BatchHypercube; lanes are bit-identical to scalar runs, so "
+                "attach it on the scalar path (repro.batch.sweep routes such "
+                "configs to scalar sessions)"
             )
 
-    def attach_tracer(self, tracer: Any) -> Any:
-        self._scalar_only("tracing", tracer)
-        return super().attach_tracer(None)
-
-    def attach_sanitizer(self, sanitizer: Any) -> Any:
-        self._scalar_only("the machine sanitizer", sanitizer)
-        return super().attach_sanitizer(None)
+    def attach(self, observer: Any) -> Any:
+        if observer.role in self.SCALAR_ONLY:
+            self._scalar_only(observer.role, observer)
+        return super().attach(observer)
 
     def attach_abft(self, manager: Any) -> Any:
-        self._scalar_only("ABFT checksumming", manager)
+        self._scalar_only("abft", manager)
         return super().attach_abft(None)
 
     def attach_faults(self, injector: Any) -> Any:
-        self._scalar_only("fault injection", injector)
+        self._scalar_only("faults", injector)
         return super().attach_faults(None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -71,13 +71,13 @@ class BatchSession:
             plan_cache=plan_cache,
         )
         # The batched machine rejects every one of these (ConfigError).
-        for attach, value in (
-            (m.attach_tracer, trace),
-            (m.attach_faults, faults),
-            (m.attach_sanitizer, sanitize),
-            (m.attach_abft, abft),
+        for role, value in (
+            ("tracer", trace),
+            ("faults", faults),
+            ("sanitizer", sanitize),
+            ("abft", abft),
         ):
-            attach(value or None)
+            m._scalar_only(role, value or None)
 
     @property
     def n_runs(self) -> int:

@@ -11,9 +11,11 @@ audits the books *while they are written*.
 Design (same contract as :class:`repro.obs.Tracer`, pinned by
 ``tests/test_sanitizer.py``):
 
-* **Null by default.**  ``machine.sanitizer`` is ``None`` unless attached;
-  every instrumented site pays one ``is None`` branch and charges nothing,
-  so cost totals are bit-identical sanitized or not.
+* **Null by default.**  No sanitizer is attached unless asked for; it is
+  one observer of the machine's hook protocol
+  (:meth:`~repro.machine.hypercube.Hypercube.attach`), so every
+  instrumented site pays one empty-tuple branch without it, and it charges
+  nothing: cost totals are bit-identical sanitized or not.
 * **Read-only.**  The sanitizer never charges the machine, never touches
   the plan cache, and never mutates data; it observes snapshots and
   recomputes expectations from specifications.
@@ -60,7 +62,7 @@ from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import ConfigError, SanitizerError
+from ..errors import ConfigError, SanitizerError, env_flag
 from ..machine.counters import CostSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -85,8 +87,7 @@ _MONOTONIC_FIELDS = (
 
 def env_enabled() -> bool:
     """The process-wide default from ``REPRO_SANITIZE`` (default: off)."""
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
+    return env_flag(ENV_FLAG)
 
 
 def env_sample_every() -> int:
@@ -180,11 +181,11 @@ class SanitizerStats:
 class MachineSanitizer:
     """Audits one machine's cost accounting and data conservation.
 
-    Attach with :meth:`Hypercube.attach_sanitizer` (or
-    ``Session(sanitize=True)``, or ``REPRO_SANITIZE=1``) *before* running
-    the workload.  The sanitizer survives degraded-mode recovery: the
-    session rebinds it to the survivor subcube, and because the subcube
-    charges into the same counters the monotonicity audit spans the swap.
+    Attach with :meth:`Hypercube.attach` (or ``Session(sanitize=True)``,
+    or ``REPRO_SANITIZE=1``) *before* running the workload.  The sanitizer
+    survives degraded-mode recovery: the session rebinds it to the
+    survivor subcube, and because the subcube charges into the same
+    counters the monotonicity audit spans the swap.
 
     Parameters
     ----------
@@ -199,6 +200,8 @@ class MachineSanitizer:
         ``K=1`` (the default) is bit-identical to the unsampled sanitizer,
         pinned by ``tests/test_sanitizer.py``.
     """
+
+    role = "sanitizer"
 
     def __init__(self, sample_every: int = 1) -> None:
         if sample_every < 1:

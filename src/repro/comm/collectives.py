@@ -37,7 +37,7 @@ from ..errors import ConfigError, ShapeError
 from ..machine.hypercube import Hypercube
 from ..machine.plans import readonly
 from ..machine.pvar import PVar
-from ..obs.tracer import maybe_span
+from ..machine.hypercube import maybe_span
 from .ops import CombineOp, get_op
 
 
@@ -150,11 +150,8 @@ def broadcast(
         for d in dims:
             machine.charge_comm_round(pvar.local_size, dim=d)
         out = PVar(machine, pvar.data.take(root_pid, axis=0))
-        sanitizer = machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.audit_broadcast(
-                machine, dims, root_rank, pvar.data, out.data
-            )
+        for audit in machine.hooks.audit_broadcast:
+            audit(machine, dims, root_rank, pvar.data, out.data)
         return out
 
 
@@ -181,9 +178,8 @@ def reduce_all(
             combined = op(data.data, recv.data)
             machine.charge_flops(data.local_size)
             data = PVar(machine, combined)
-        sanitizer = machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.audit_replicated(machine, data, dims, "reduce_all")
+        for audit in machine.hooks.audit_replicated:
+            audit(machine, data, dims, "reduce_all")
         return data
 
 
@@ -553,11 +549,8 @@ def broadcast_pipelined(
         # functional result: everyone gets the root's block
         root_pid = _root_pid_map(machine, dims, root_rank)
         out = PVar(machine, pvar.data.take(root_pid, axis=0))
-        sanitizer = machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.audit_broadcast(
-                machine, dims, root_rank, pvar.data, out.data
-            )
+        for audit in machine.hooks.audit_broadcast:
+            audit(machine, dims, root_rank, pvar.data, out.data)
         return out
 
 
@@ -601,11 +594,8 @@ def reduce_all_pipelined(
             recv = machine.exchange_free(PVar(machine, data), d).data
             data = op(data, recv)
         out = PVar(machine, data)
-        sanitizer = machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.audit_replicated(
-                machine, out, dims, "reduce_all_pipelined"
-            )
+        for audit in machine.hooks.audit_replicated:
+            audit(machine, out, dims, "reduce_all_pipelined")
         return out
 
 

@@ -56,7 +56,7 @@ from ..machine.kernels import (
 from ..machine.plans import readonly
 from ..machine.pvar import PVar
 from ..machine.router import Router
-from ..obs.tracer import maybe_span
+from ..machine.hypercube import maybe_span
 from ..embeddings.matrix import MatrixEmbedding
 from ..embeddings.remap import remap_vector
 from ..embeddings.vector import (
@@ -174,9 +174,8 @@ def extract(
         for d in across:
             machine.charge_comm_round(share, dim=d)
         out = gather_slice(data, root_pid, axis + 1, slot)
-        sanitizer = machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.audit_broadcast(machine, across, root_rank, local, out)
+        for audit in machine.hooks.audit_broadcast:
+            audit(machine, across, root_rank, local, out)
         return PVar(machine, out), _aligned_embedding(emb, axis, None)
 
 

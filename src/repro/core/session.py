@@ -17,16 +17,15 @@ every primitive, collective, remap and routing operation; see
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, env_flag
 from ..machine.cost_model import CostModel
 from ..machine.counters import CostSnapshot
 from ..machine.hypercube import Hypercube
-from ..obs.tracer import Tracer, env_enabled as trace_env_enabled
+from ..obs.tracer import ENV_FLAG as TRACE_ENV_FLAG, Tracer
 from ..embeddings.matrix import MatrixEmbedding
 from ..embeddings.vector import (
     ColAlignedEmbedding,
@@ -62,14 +61,21 @@ class Session:
                     "try 'cm2', 'unit', 'latency_bound' or 'bandwidth_bound'"
                 ) from None
         self.machine = Hypercube(n_dims, cost_model, plan_cache=plan_cache)
-        # trace=None defers to the REPRO_TRACE environment variable;
-        # trace may also be a pre-built Tracer to share across sessions.
-        if trace is None:
-            trace = trace_env_enabled()
-        if isinstance(trace, Tracer):
-            self.machine.attach_tracer(trace)
-        elif trace:
-            self.machine.attach_tracer(Tracer())
+        # Observers: each may be a pre-built instance (one per session; it
+        # stays bound to this session's machine, carried across degrade
+        # and promote), True for a fresh default one, or None (default) to
+        # defer to its REPRO_* environment switch.  The sanitizer and
+        # metrics modules are imported only when asked for.
+        for value, flag, build in (
+            (trace, TRACE_ENV_FLAG, Tracer),
+            (sanitize, "REPRO_SANITIZE", _new_sanitizer),
+            (metrics, "REPRO_METRICS", _new_registry),
+            (profile, "REPRO_PROFILE", _new_profiler),
+        ):
+            if value is None:
+                value = env_flag(flag)
+            if value:
+                self.machine.attach(build() if value is True else value)
         # faults may be a FaultPlan (wrapped in a fresh injector) or a
         # pre-built FaultInjector; None (default) leaves the machine on the
         # zero-overhead healthy path.  ``retry`` customises the wrapping
@@ -88,19 +94,6 @@ class Session:
             self.machine.attach_faults(faults)
         elif retry is not None:
             raise ConfigError("retry= requires faults= to be set")
-        # sanitize=None defers to REPRO_SANITIZE (read inline so an
-        # unsanitized run never imports the check subsystem); a pre-built
-        # MachineSanitizer may also be passed to share across sessions.
-        if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
-                "1", "on", "true", "yes"
-            )
-        if sanitize:
-            if isinstance(sanitize, bool):
-                from ..check.sanitizer import MachineSanitizer, env_sample_every
-
-                sanitize = MachineSanitizer(sample_every=env_sample_every())
-            self.machine.attach_sanitizer(sanitize)
         # abft=True builds a fresh ABFTManager; a pre-built manager may be
         # passed to tune the registry/scrub policy.  None/False (default)
         # keeps the machine checksum-free and never imports repro.abft.
@@ -110,30 +103,6 @@ class Session:
 
                 abft = ABFTManager()
             self.machine.attach_abft(abft)
-        # metrics=None / profile=None defer to REPRO_METRICS / REPRO_PROFILE
-        # (read inline so a run without them never imports repro.metrics).
-        # The profiler attaches *last* so its proxy wraps an attached
-        # sanitizer (see PhaseProfiler.bind).
-        if metrics is None:
-            metrics = os.environ.get("REPRO_METRICS", "").strip().lower() in (
-                "1", "on", "true", "yes"
-            )
-        if metrics:
-            if isinstance(metrics, bool):
-                from ..metrics.registry import MetricsRegistry
-
-                metrics = MetricsRegistry()
-            self.machine.attach_metrics(metrics)
-        if profile is None:
-            profile = os.environ.get("REPRO_PROFILE", "").strip().lower() in (
-                "1", "on", "true", "yes"
-            )
-        if profile:
-            if isinstance(profile, bool):
-                from ..metrics.profiler import PhaseProfiler
-
-                profile = PhaseProfiler()
-            self.machine.attach_profiler(profile)
         # checkpoint= selects the CheckpointPolicy resilient runs use (a
         # CheckpointPolicy, a strategy name, or None for the host-gather
         # default).  Stored raw and coerced lazily by CheckpointStore, so
@@ -145,7 +114,7 @@ class Session:
     @property
     def tracer(self) -> Optional[Tracer]:
         """The attached :class:`~repro.obs.Tracer`, or ``None``."""
-        return self.machine.tracer
+        return self.machine.observer("tracer")
 
     @property
     def faults(self):
@@ -155,7 +124,7 @@ class Session:
     @property
     def sanitizer(self):
         """The attached :class:`~repro.check.MachineSanitizer`, or ``None``."""
-        return self.machine.sanitizer
+        return self.machine.observer("sanitizer")
 
     @property
     def abft(self):
@@ -165,12 +134,12 @@ class Session:
     @property
     def metrics(self):
         """The attached :class:`~repro.metrics.MetricsRegistry`, or ``None``."""
-        return self.machine.metrics
+        return self.machine.observer("metrics")
 
     @property
     def profiler(self):
         """The attached :class:`~repro.metrics.PhaseProfiler`, or ``None``."""
-        return self.machine.profiler
+        return self.machine.observer("profiler")
 
     # -- degraded-mode recovery ----------------------------------------------
 
@@ -180,7 +149,7 @@ class Session:
         Called (normally by :func:`repro.faults.run_resilient`) after a
         :class:`~repro.errors.NodeKilledError`: builds a fresh, healthy
         machine from the surviving subcube, *sharing the parent's counters*
-        so the simulated clock keeps running, re-binds the tracer and
+        so the simulated clock keeps running, carries the observers and
         translates the fault injector's remaining events into subcube
         coordinates.  Distributed arrays built on the old machine are dead;
         workloads resume from their last host-side checkpoint
@@ -209,51 +178,30 @@ class Session:
             plan_cache=old.plans.enabled,
             counters=old.counters,
         )
-        tracer = old.tracer
-        if tracer is not None:
-            tracer.instant(
-                "degrade",
-                "fault",
-                old_p=old.p,
-                new_p=new.p,
-                base=base,
-                free_dims=list(free_dims),
-            )
-            tracer.rebind(new)
-            new.tracer = tracer
+        old.instant(
+            "degrade", "fault", old_p=old.p, new_p=new.p, base=base,
+            free_dims=list(free_dims),
+        )
         if injector is not None:
             injector.translate(free_dims, base)
             new.attach_faults(injector)
-        self._rebind_attachments(old, new)
+        self._carry(old, new)
         self._expansion.record_degrade(free_dims, base)
         self.machine = new
         return new
 
-    def _rebind_attachments(self, old: Hypercube, new: Hypercube) -> None:
-        """Carry sanitizer/ABFT/metrics/profiler across a machine swap."""
-        sanitizer = old.sanitizer
-        if sanitizer is not None:
-            # The survivor charges into the parent's counters, so the
-            # monotonicity audit deliberately spans the swap.
-            sanitizer.rebind(new)
-            new.sanitizer = sanitizer
-        abft = old.abft
-        if abft is not None:
+    @staticmethod
+    def _carry(old: Hypercube, new: Hypercube) -> None:
+        """Carry the observers and the ABFT manager across a machine swap.
+
+        The survivor charges into the parent's counters, so observer
+        histories (span clock, audit baseline, snapshots) span the swap.
+        """
+        new.carry_observers(old)
+        if old.abft is not None:
             # bind() onto a different machine drops the registry: the old
             # panels describe blocks shaped for the dead machine.
-            new.attach_abft(abft)
-        metrics = old.metrics
-        if metrics is not None:
-            # The snapshot history carries across the swap (same counters,
-            # same simulated clock).
-            metrics.rebind(new)
-            new.metrics = metrics
-        profiler = old.profiler
-        if profiler is not None:
-            # Rebinding also rewraps the survivor's sanitizer (which is the
-            # same proxy object, carried over above).
-            profiler.rebind(new)
-            new.profiler = profiler
+            new.attach_abft(old.abft)
 
     def promotion_ready(self) -> bool:
         """Whether a strictly larger healthy cube is available right now.
@@ -280,14 +228,12 @@ class Session:
                         injector.stats.node_heals += 1
                     else:
                         injector.stats.link_heals += 1
-            tracer = machine.tracer
-            if tracer is not None:
-                for kind, dim, pid in applied:
-                    name = (
-                        f"heal_node:{pid}" if kind == "node"
-                        else f"heal_link:{dim}@{pid}"
-                    )
-                    tracer.instant(name, "fault", pid=pid)
+            for kind, dim, pid in applied:
+                name = (
+                    f"heal_node:{pid}" if kind == "node"
+                    else f"heal_link:{dim}@{pid}"
+                )
+                machine.instant(name, "fault", pid=pid)
         if injector is not None and injector.health.tracked:
             return False  # still-suspect components: don't thrash
         if not led.heal_applied:
@@ -328,18 +274,10 @@ class Session:
             plan_cache=old.plans.enabled,
             counters=old.counters,
         )
-        tracer = old.tracer
-        if tracer is not None:
-            tracer.instant(
-                "promote",
-                "fault",
-                old_p=old.p,
-                new_p=new.p,
-                base=base,
-                free_dims=list(free_dims),
-            )
-            tracer.rebind(new)
-            new.tracer = tracer
+        old.instant(
+            "promote", "fault", old_p=old.p, new_p=new.p, base=base,
+            free_dims=list(free_dims),
+        )
         injector = old.faults
         if injector is not None:
             # Lift pending events from subcube coordinates to root
@@ -350,7 +288,7 @@ class Session:
             injector.translate(free_dims, base)
             new.attach_faults(injector)
             injector.stats.expansions += 1
-        self._rebind_attachments(old, new)
+        self._carry(old, new)
         led.record_promote(free_dims, base)
         # Each promotion consumes the heals that justified it; growing
         # further requires further repairs to land.
@@ -465,8 +403,8 @@ class Session:
 
     def reset_counters(self) -> None:
         self.machine.counters.reset()
-        if self.machine.sanitizer is not None:
-            self.machine.sanitizer.resync()
+        for resync in self.machine.hooks.resync:
+            resync()
 
     def report(self) -> str:
         """Human-readable accounting summary."""
@@ -520,7 +458,7 @@ class Session:
                     f"{st.link_heals} link heals, "
                     f"{st.expansions} promotions"
                 )
-        sanitizer = self.machine.sanitizer
+        sanitizer = self.sanitizer
         if sanitizer is not None:
             lines.append(
                 f"sanitizer         : {sanitizer.stats.total} checks passed"
@@ -540,7 +478,7 @@ class Session:
             for name, t in breakdown:
                 share = 100.0 * t / c.time if c.time else 0.0
                 lines.append(f"  {name:<24s} {t:>14.1f}  ({share:5.1f}%)")
-        tracer = self.machine.tracer
+        tracer = self.tracer
         if tracer is not None:
             summary = tracer.primitive_summary()
             if summary:
@@ -591,7 +529,7 @@ class Session:
         injector = self.machine.faults
         if injector is not None:
             data["faults"] = injector.stats.as_dict()
-        sanitizer = self.machine.sanitizer
+        sanitizer = self.sanitizer
         if sanitizer is not None:
             data["sanitizer"] = sanitizer.stats.as_dict()
         abft = self.machine.abft
@@ -602,17 +540,35 @@ class Session:
                 corrected=c.abft_corrected,
                 recomputed=c.abft_recomputed,
             )
-        tracer = self.machine.tracer
+        tracer = self.tracer
         if tracer is not None:
             data["primitive_breakdown"] = tracer.primitive_summary()
             data["congestion"] = tracer.congestion.summary()
-        registry = self.machine.metrics
+        registry = self.metrics
         if registry is not None:
             data["metrics"] = registry.collect()
-        profiler = self.machine.profiler
+        profiler = self.profiler
         if profiler is not None:
             data["profile"] = profiler.as_dict()
         return data
 
     def __repr__(self) -> str:
         return f"Session(p={self.machine.p}, time={self.time:.1f})"
+
+
+def _new_sanitizer():
+    from ..check.sanitizer import MachineSanitizer, env_sample_every
+
+    return MachineSanitizer(sample_every=env_sample_every())
+
+
+def _new_registry():
+    from ..metrics.registry import MetricsRegistry
+
+    return MetricsRegistry()
+
+
+def _new_profiler():
+    from ..metrics.profiler import PhaseProfiler
+
+    return PhaseProfiler()

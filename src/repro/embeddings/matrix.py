@@ -333,9 +333,8 @@ class MatrixEmbedding:
         if data.ndim > mask.ndim:
             mask = mask[..., None]  # broadcast over the run axis
         data = np.where(mask, data, np.zeros((), dtype=matrix.dtype))
-        sanitizer = self.machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.audit_matrix_embedding(self)
+        for audit in self.machine.hooks.audit_matrix_embedding:
+            audit(self)
         return PVar(self.machine, data)
 
     def gather(self, pvar: PVar) -> np.ndarray:

@@ -34,7 +34,7 @@ from ..machine.hypercube import Hypercube
 from ..machine.plans import RemapPlan
 from ..machine.pvar import PVar
 from ..machine.router import Router, RouteStats
-from ..obs.tracer import maybe_span
+from ..machine.hypercube import maybe_span
 from .. import comm
 from .gray import deposit_bits
 from .matrix import MatrixEmbedding
@@ -62,11 +62,8 @@ def _route_stats(
     src, dst = pairs // machine.p, pairs % machine.p
     sizes = counts.astype(np.float64)
     stats = Router(machine).simulate(src, dst, sizes, charge=False)
-    sanitizer = machine.sanitizer
-    if sanitizer is not None:
-        sanitizer.audit_route(
-            machine, src, dst, sizes, stats, before=None, from_cache=False
-        )
+    for audit in machine.hooks.audit_route:
+        audit(machine, src, dst, sizes, stats, before=None, from_cache=False)
     return stats
 
 

@@ -154,9 +154,8 @@ class VectorEmbedding(abc.ABC):
         if data.ndim > mask.ndim:
             mask = mask[..., None]  # broadcast over the run axis
         data = np.where(mask, data, np.zeros((), dtype=vector.dtype))
-        sanitizer = self.machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.audit_vector_embedding(self)
+        for audit in self.machine.hooks.audit_vector_embedding:
+            audit(self)
         return PVar(self.machine, data)
 
     def gather(self, pvar: PVar) -> np.ndarray:

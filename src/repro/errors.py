@@ -23,9 +23,29 @@ Hierarchy::
     ├── CheckpointError(RuntimeError) — checkpoint contents unusable
     └── SanitizerError(RuntimeError)  — a machine invariant was violated
                                         (see repro.check.MachineSanitizer)
+
+It also holds :func:`env_flag`, the one reader of the ``REPRO_*`` on/off
+environment switches: every module that reads one already imports this
+module for :class:`ConfigError`.
 """
 
 from __future__ import annotations
+
+import os
+
+_ON = ("1", "on", "true", "yes")
+_OFF = ("0", "off", "false", "no")
+
+
+def env_flag(name: str, default: bool = False) -> bool:
+    """Read the on/off environment switch ``name`` (case-insensitive).
+
+    Off by default, a switch turns on only for ``1``/``on``/``true``/
+    ``yes``; on by default (``REPRO_PLAN_CACHE``), it turns off only for
+    ``0``/``off``/``false``/``no``.
+    """
+    raw = os.environ.get(name, "").strip().lower()
+    return raw not in _OFF if default else raw in _ON
 
 
 class ReproError(Exception):
@@ -98,6 +118,7 @@ class SanitizerError(ReproError, RuntimeError):
 
 
 __all__ = [
+    "env_flag",
     "ReproError",
     "ShapeError",
     "EmbeddingError",

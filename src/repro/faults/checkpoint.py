@@ -206,15 +206,10 @@ class CheckpointStore:
             self.delta_saves += 1
         self.dirty_blocks += meta["dirty"]
         self.total_blocks += meta["blocks"]
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"checkpoint:{label}",
-                "fault",
-                step=step,
-                arrays=sorted(host),
-                strategy=self.strategy.name,
-            )
+        machine.instant(
+            f"checkpoint:{label}", "fault", step=step, arrays=sorted(host),
+            strategy=self.strategy.name,
+        )
         if self.policy.promote:
             ready = getattr(self.session, "promotion_ready", None)
             if ready is not None and ready():
@@ -268,16 +263,10 @@ class CheckpointStore:
         if injector is not None:
             injector.stats.remapped_arrays += restored
             injector.stats.recovery_ticks += machine.counters.time - start
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"restore:{ck.label}",
-                "fault",
-                step=ck.step,
-                arrays=sorted(ck.arrays),
-                p=machine.p,
-                strategy=self.strategy.name,
-            )
+        machine.instant(
+            f"restore:{ck.label}", "fault", step=ck.step,
+            arrays=sorted(ck.arrays), p=machine.p, strategy=self.strategy.name,
+        )
         return ck
 
 

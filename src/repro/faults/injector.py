@@ -424,11 +424,9 @@ class FaultInjector:
                 self._armed_drops.get(ev.dim, 0) + ev.count
             )
             self.stats.drops += ev.count
-            tracer = machine.tracer
-            if tracer is not None:
-                tracer.instant(
-                    f"link_drop:dim{ev.dim}", "fault", dim=ev.dim, count=ev.count
-                )
+            machine.instant(
+                f"link_drop:dim{ev.dim}", "fault", dim=ev.dim, count=ev.count
+            )
         elif isinstance(ev, BitFlip):
             self._apply_bit_flip(ev, entry)
         elif isinstance(ev, LinkCorrupt):
@@ -492,12 +490,10 @@ class FaultInjector:
                     _FlakyLink(ev.drop_p, until, ev.seed)
                 )
                 self.stats.flaky_links += 1
-                tracer = machine.tracer
-                if tracer is not None:
-                    tracer.instant(
-                        f"link_flaky:dim{dim}", "fault",
-                        dim=dim, drop_p=ev.drop_p,
-                    )
+                machine.instant(
+                    f"link_flaky:dim{dim}", "fault",
+                    dim=dim, drop_p=ev.drop_p,
+                )
         else:  # pragma: no cover - future event kinds
             raise TypeError(f"unknown fault event {ev!r}")
         self.log.append(entry)
@@ -568,11 +564,7 @@ class FaultInjector:
         self.stats.bit_flips += 1
         entry["pid"] = pid
         entry["byte"] = slot
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.instant(
-                "sdc:bitflip", "fault", pid=pid, byte=slot, bit=ev.bit % 8
-            )
+        machine.instant("sdc:bitflip", "fault", pid=pid, byte=slot, bit=ev.bit % 8)
 
     def deliver(self, out: "PVar", dim: int) -> "PVar":
         """Apply armed in-flight corruption to an exchanged block.
@@ -591,7 +583,6 @@ class FaultInjector:
         machine = self.machine
         from ..machine.pvar import PVar
 
-        tracer = machine.tracer
         for ev in pending:
             self.stats.link_corruptions += 1
             data = np.array(out.data)
@@ -602,11 +593,10 @@ class FaultInjector:
             slot = ev.slot % u8.shape[1]
             u8[pid, slot] ^= np.uint8(1 << (ev.bit % 8))
             out = PVar(machine, data)
-            if tracer is not None:
-                tracer.instant(
-                    "sdc:link", "fault", dim=dim, pid=pid, byte=slot,
-                    bit=ev.bit % 8,
-                )
+            machine.instant(
+                "sdc:link", "fault", dim=dim, pid=pid, byte=slot,
+                bit=ev.bit % 8,
+            )
         return out
 
     # -- per-round hooks (called from Hypercube.charge_comm_round) -------------
@@ -656,15 +646,13 @@ class FaultInjector:
         if pending:
             retries = min(pending, self.retry.max_retries)
             self._charge_retries(dim, volume, retries)
-            tracer = machine.tracer
-            if tracer is not None:
-                tracer.instant(
-                    f"retry:dim{dim}",
-                    "fault",
-                    dim=dim,
-                    dropped=pending,
-                    retries=retries,
-                )
+            machine.instant(
+                f"retry:dim{dim}",
+                "fault",
+                dim=dim,
+                dropped=pending,
+                retries=retries,
+            )
         flaky = self._flaky.get(dim)
         if flaky:
             now = machine.counters.time
@@ -681,11 +669,7 @@ class FaultInjector:
                 self.stats.flaky_drops += drops
                 retries = min(drops, self.retry.max_retries)
                 self._charge_retries(dim, volume, retries)
-                tracer = machine.tracer
-                if tracer is not None:
-                    tracer.instant(
-                        f"flaky:dim{dim}", "fault", dim=dim, dropped=drops
-                    )
+                machine.instant(f"flaky:dim{dim}", "fault", dim=dim, dropped=drops)
 
     def _charge_retries(self, dim: int, volume: float, retries: int) -> None:
         """Charge ``retries`` re-sends of a dropped round along ``dim``.

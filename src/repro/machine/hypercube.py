@@ -31,6 +31,103 @@ from .pvar import PVar
 
 _ONE_LANE = contextlib.nullcontext()  # Hypercube.lanes: nothing to mask
 
+#: Shared re-entrant no-op context returned when no observer takes spans.
+NULL_CONTEXT = contextlib.nullcontext()
+
+#: The observer protocol's fixed event set: one method name per event.
+#: :meth:`Hypercube.attach` collects, for every event, the bound methods of
+#: the attached observers that define it into ``machine.hooks.<event>``;
+#: an instrumented site loops over that one tuple, which is empty (one
+#: branch) when nothing listens.  Observers only read the machine: they
+#: never charge, so every cost is bit-identical with any set attached.
+EVENTS = (
+    # charges and communication
+    "observe_charge",        # (machine) after charge_flops / charge_local
+    "on_comm_round",         # (dim, volume, rounds) per structured charge
+    "audit_comm_round",      # (machine, volume, rounds, dim, before)
+    "on_route_round",        # (dim, loads, congestion) per routing round
+    "on_route_replay",       # (stats) a cached route's rounds replayed
+    "audit_route",           # (machine, src, dst, sizes, stats, before, from_cache)
+    "audit_charge_route",    # (machine, stats, before)
+    "audit_exchange",        # (machine, sent, received, dim)
+    # structure on the simulated clock
+    "on_span_enter",         # (name, category, attrs)
+    "on_span_exit",          # ()
+    "on_phase_enter",        # (name)
+    "on_phase_exit",         # (name)
+    "on_section_enter",      # (label, category) host-side work: plan builds
+    "on_section_exit",       # ()
+    "instant",               # (name, category, **attrs)
+    "on_epoch_bump",         # (machine, old_epoch)
+    "on_plan_hit",           # (machine, key, value)
+    "on_plan_store",         # (machine, key, value)
+    # value checks
+    "audit_broadcast",       # (machine, dims, root_rank, sent, received)
+    "audit_replicated",      # (machine, pvar, dims, what)
+    "audit_vector_embedding",  # (embedding)
+    "audit_matrix_embedding",  # (embedding)
+    "audit_abft_panels",     # (machine, pvar, panels)
+    # lifecycle
+    "rebind",                # (machine) carried onto a degrade/promote swap
+    "resync",                # () after an explicit counter reset
+    "publish_metrics",       # (registry) one metrics collection
+)
+
+
+class Hooks:
+    """Per-event tuples of observer hooks (see :data:`EVENTS`).
+
+    Built by :meth:`Hypercube.attach`/:meth:`~Hypercube.detach` in attach
+    order; ``*_exit`` events run in reverse attach order, so observers nest
+    like context managers.  An observer may also define
+    ``wrap_hook(observer, hook)``: every hook of every attached observer
+    passes through it, which is how the phase profiler times the
+    sanitizer's checks whatever the attach order.
+    """
+
+    __slots__ = EVENTS
+
+    def __init__(self, observers: Tuple[Any, ...] = ()) -> None:
+        wrappers = [o.wrap_hook for o in observers if hasattr(o, "wrap_hook")]
+        for event in EVENTS:
+            hooks = []
+            for observer in observers:
+                hook = getattr(observer, event, None)
+                if hook is None:
+                    continue
+                for wrap in wrappers:
+                    hook = wrap(observer, hook)
+                hooks.append(hook)
+            if event.endswith("_exit"):
+                hooks.reverse()
+            setattr(self, event, tuple(hooks))
+
+
+_NO_HOOKS = Hooks()
+
+
+@contextlib.contextmanager
+def _hooked_span(hooks: Hooks, name: str, category: str, attrs: dict):
+    for enter in hooks.on_span_enter:
+        enter(name, category, attrs)
+    try:
+        yield
+    finally:
+        for exit_ in hooks.on_span_exit:
+            exit_()
+
+
+def maybe_span(machine: "Hypercube", name: str, category: str, **attrs: Any):
+    """A span through ``machine``'s observers, or the shared no-op context.
+
+    The one branch every instrumented call site pays when no attached
+    observer takes spans.
+    """
+    hooks = machine.hooks
+    if not hooks.on_span_enter:
+        return NULL_CONTEXT
+    return _hooked_span(hooks, name, category, attrs)
+
 
 class Hypercube:
     """A ``2**n``-processor Boolean cube with cost accounting.
@@ -74,23 +171,15 @@ class Hypercube:
         self.p = 1 << n
         self.cost_model = cost_model if cost_model is not None else CostModel.cm2()
         self.counters = counters if counters is not None else Counters()
-        # Observability: ``None`` (the default) is the null tracer — every
-        # instrumented site pays exactly one ``is None`` branch and charges
-        # nothing, so cost totals are bit-identical traced or not.
-        self.tracer = None
-        # Conformance checking: ``None`` (the default) is the null
-        # sanitizer, same contract as the tracer — one ``is None`` branch
-        # per instrumented site, zero charges, bit-identical costs on/off.
-        self.sanitizer = None
+        # Observers (tracer, sanitizer, metrics registry, phase profiler):
+        # none by default, so every instrumented site loops over an empty
+        # hook tuple and a plain run never imports their modules.
+        self.observers: Tuple[Any, ...] = ()
+        self.hooks = _NO_HOOKS
         # Data integrity: ``None`` (the default) means no checksum layer —
         # the ABFT manager (repro.abft) is attached explicitly and pays its
         # charges openly; a machine without it never imports the module.
         self.abft = None
-        # Metrics + profiling (repro.metrics): same null contract — a
-        # machine without them pays one ``is None`` branch per phase
-        # boundary and never imports the module.
-        self.metrics = None
-        self.profiler = None
         # Fault state.  ``epoch`` counts topology changes: every permanent
         # fault bumps it, and the plan cache folds it into every key, so a
         # plan derived on one topology can never replay on another.  The
@@ -128,28 +217,52 @@ class Hypercube:
 
     # -- observability ---------------------------------------------------------
 
-    def attach_tracer(self, tracer: Any) -> Any:
-        """Attach an :class:`repro.obs.Tracer` (returns it for chaining).
+    def attach(self, observer: Any) -> Any:
+        """Attach an observer (returns it for chaining).
 
-        The tracer observes charges, spans and routing rounds; it never
-        charges the machine itself.  Pass ``None`` to detach.
+        An observer is any object with a ``role`` name, ``bind(machine)``
+        and some of the :data:`EVENTS` methods — :class:`repro.obs.Tracer`,
+        :class:`repro.check.MachineSanitizer`,
+        :class:`repro.metrics.MetricsRegistry` and
+        :class:`repro.metrics.PhaseProfiler`.  At most one observer per role.
         """
-        if tracer is not None:
-            tracer.bind(self)
-        self.tracer = tracer
-        return tracer
+        role = observer.role
+        if self.observer(role) is not None:
+            raise ConfigError(f"a {role} is already attached to this machine")
+        observer.bind(self)
+        self._install(self.observers + (observer,))
+        return observer
 
-    def attach_sanitizer(self, sanitizer: Any) -> Any:
-        """Attach a :class:`repro.check.MachineSanitizer` (returns it).
+    def detach(self, observer: Any) -> None:
+        """Detach ``observer``; its recorded history stays on it."""
+        self._install(tuple(o for o in self.observers if o is not observer))
 
-        The sanitizer audits conservation/accounting invariants at every
-        charged operation; it never charges the machine itself, so costs
-        stay bit-identical sanitized or not.  Pass ``None`` to detach.
+    def observer(self, role: str) -> Any:
+        """The attached observer with ``role``, or ``None``."""
+        for observer in self.observers:
+            if observer.role == role:
+                return observer
+        return None
+
+    def carry_observers(self, old: "Hypercube") -> None:
+        """Move ``old``'s observers onto this replacement machine.
+
+        Degraded-mode recovery and re-expansion swap in a new machine that
+        charges into the same counters; each observer's ``rebind`` keeps
+        its history (span tree, audit baseline, snapshots, timings).
         """
-        if sanitizer is not None:
-            sanitizer.bind(self)
-        self.sanitizer = sanitizer
-        return sanitizer
+        for rebind in old.hooks.rebind:
+            rebind(self)
+        self._install(old.observers)
+
+    def _install(self, observers: Tuple[Any, ...]) -> None:
+        self.observers = observers
+        self.hooks = Hooks(observers) if observers else _NO_HOOKS
+
+    def instant(self, name: str, category: str = "event", **attrs: Any) -> None:
+        """Record a point event (a fault, checkpoint, ...) with observers."""
+        for instant in self.hooks.instant:
+            instant(name, category, **attrs)
 
     def attach_abft(self, manager: Any) -> Any:
         """Attach a :class:`repro.abft.ABFTManager` (returns it).
@@ -164,29 +277,6 @@ class Hypercube:
             manager.bind(self)
         self.abft = manager
         return manager
-
-    def attach_metrics(self, registry: Any) -> Any:
-        """Attach a :class:`repro.metrics.MetricsRegistry` (returns it).
-
-        The registry snapshots subsystem counters on phase exits and never
-        charges the machine.  Pass ``None`` to detach.
-        """
-        if registry is not None:
-            registry.bind(self)
-        self.metrics = registry
-        return registry
-
-    def attach_profiler(self, profiler: Any) -> Any:
-        """Attach a :class:`repro.metrics.PhaseProfiler` (returns it).
-
-        The profiler attributes host wall-clock time over phase
-        boundaries; attach it *after* the sanitizer so audit calls are
-        wrapped (see :meth:`PhaseProfiler.bind`).  Pass ``None`` to detach.
-        """
-        if profiler is not None:
-            profiler.bind(self)
-        self.profiler = profiler
-        return profiler
 
     # -- fault state -----------------------------------------------------------
 
@@ -224,9 +314,8 @@ class Hypercube:
         self.epoch += 1
         self.plans.clear()
         self._detour_memo.clear()
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_epoch_bump(self, old_epoch)
+        for on_bump in self.hooks.on_epoch_bump:
+            on_bump(self, old_epoch)
 
     def node_alive(self, pid: int) -> bool:
         return self.node_ok is None or bool(self.node_ok[pid])
@@ -263,9 +352,7 @@ class Hypercube:
                 max(self._slow_nodes.values()) if self._slow_nodes else 1.0
             )
         self.bump_epoch()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(f"kill_node:{pid}", "fault", pid=pid, epoch=self.epoch)
+        self.instant(f"kill_node:{pid}", "fault", pid=pid, epoch=self.epoch)
         return True
 
     def kill_link(self, dim: int, pid: int) -> bool:
@@ -297,11 +384,9 @@ class Hypercube:
             if not slow:
                 del self._slow_links_by_dim[dim]
         self.bump_epoch()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"kill_link:{dim}@{lo}", "fault", dim=dim, pid=lo, epoch=self.epoch
-            )
+        self.instant(
+            f"kill_link:{dim}@{lo}", "fault", dim=dim, pid=lo, epoch=self.epoch
+        )
         return True
 
     def revive_node(self, pid: int) -> bool:
@@ -317,11 +402,7 @@ class Hypercube:
         self.node_ok[pid] = True
         self._n_dead_nodes -= 1
         self.bump_epoch()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"revive_node:{pid}", "fault", pid=pid, epoch=self.epoch
-            )
+        self.instant(f"revive_node:{pid}", "fault", pid=pid, epoch=self.epoch)
         return True
 
     def revive_link(self, dim: int, pid: int) -> bool:
@@ -346,12 +427,10 @@ class Hypercube:
             if not links:
                 del self._dead_links_by_dim[dim]
         self.bump_epoch()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"revive_link:{dim}@{lo}", "fault",
-                dim=dim, pid=lo, epoch=self.epoch,
-            )
+        self.instant(
+            f"revive_link:{dim}@{lo}", "fault",
+            dim=dim, pid=lo, epoch=self.epoch,
+        )
         return True
 
     # -- gray (degraded-but-alive) state ---------------------------------------
@@ -375,12 +454,10 @@ class Hypercube:
             return False
         self._slow_links_by_dim.setdefault(dim, {})[lo] = float(factor)
         self.bump_epoch()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"slow_link:{dim}@{lo}", "fault",
-                dim=dim, pid=lo, factor=factor, epoch=self.epoch,
-            )
+        self.instant(
+            f"slow_link:{dim}@{lo}", "fault",
+            dim=dim, pid=lo, factor=factor, epoch=self.epoch,
+        )
         return True
 
     def restore_link_speed(self, dim: int, pid: int) -> bool:
@@ -394,12 +471,10 @@ class Hypercube:
         if not slow:
             del self._slow_links_by_dim[dim]
         self.bump_epoch()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"restore_link:{dim}@{lo}", "fault",
-                dim=dim, pid=lo, epoch=self.epoch,
-            )
+        self.instant(
+            f"restore_link:{dim}@{lo}", "fault",
+            dim=dim, pid=lo, epoch=self.epoch,
+        )
         return True
 
     def slow_node(self, pid: int, factor: float) -> bool:
@@ -419,12 +494,10 @@ class Hypercube:
         self._slow_nodes[pid] = float(factor)
         self._node_slow_max = max(self._slow_nodes.values())
         self.bump_epoch()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"slow_node:{pid}", "fault",
-                pid=pid, factor=factor, epoch=self.epoch,
-            )
+        self.instant(
+            f"slow_node:{pid}", "fault",
+            pid=pid, factor=factor, epoch=self.epoch,
+        )
         return True
 
     def restore_node_speed(self, pid: int) -> bool:
@@ -436,11 +509,7 @@ class Hypercube:
             max(self._slow_nodes.values()) if self._slow_nodes else 1.0
         )
         self.bump_epoch()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                f"restore_node:{pid}", "fault", pid=pid, epoch=self.epoch
-            )
+        self.instant(f"restore_node:{pid}", "fault", pid=pid, epoch=self.epoch)
         return True
 
     def link_slow_factor(self, dim: int, pid: int) -> float:
@@ -560,9 +629,8 @@ class Hypercube:
                 local_elements
             )
         self.counters.charge_flops(local_elements * self.p, time)
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.observe_charge(self)
+        for observe in self.hooks.observe_charge:
+            observe(self)
 
     def charge_local(self, local_elements: float) -> None:
         """One SIMD local move/pack pass."""
@@ -572,9 +640,8 @@ class Hypercube:
                 local_elements
             )
         self.counters.charge_local(local_elements * self.p, time)
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.observe_charge(self)
+        for observe in self.hooks.observe_charge:
+            observe(self)
 
     def charge_comm_round(
         self,
@@ -594,11 +661,11 @@ class Hypercube:
         scheduled events fire against the simulated clock), and transient
         drops / link detours surcharge honest extra rounds afterwards.
         """
-        sanitizer = self.sanitizer
+        audits = self.hooks.audit_comm_round
         # The audit wraps the dispatch (not the plain/faulty bodies), so a
         # broken override of either body — or a mis-charging test double —
         # is caught against the specification recomputed from the request.
-        before = self.counters.snapshot() if sanitizer is not None else None
+        before = self.counters.snapshot() if audits else None
         if (
             self.faults is None
             and self.node_ok is None
@@ -609,10 +676,8 @@ class Hypercube:
             self._charge_comm_round_plain(elements_per_processor, rounds, dim)
         else:
             self._charge_comm_round_faulty(elements_per_processor, rounds, dim)
-        if sanitizer is not None:
-            sanitizer.audit_comm_round(
-                self, elements_per_processor, rounds, dim, before
-            )
+        for audit in audits:
+            audit(self, elements_per_processor, rounds, dim, before)
 
     def _charge_comm_round_plain(
         self,
@@ -628,9 +693,8 @@ class Hypercube:
         self.counters.charge_transfer(
             elements_per_processor * self.p * rounds, rounds, rounds * time
         )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_comm_round(dim, elements_per_processor, rounds)
+        for on_round in self.hooks.on_comm_round:
+            on_round(dim, elements_per_processor, rounds)
 
     def _charge_comm_round_faulty(
         self,
@@ -677,26 +741,15 @@ class Hypercube:
 
     @contextlib.contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        tracer = self.tracer
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push(name)
+        hooks = self.hooks
+        for enter in hooks.on_phase_enter:
+            enter(name)
         try:
-            # Mirror the counters' re-entry rule: a nested phase of the same
-            # name neither double-counts time nor opens a second span, so span
-            # durations per phase sum exactly to ``phase_times``.
-            if tracer is not None and name not in self.counters._phase_stack:
-                with self.counters.phase(name), tracer.span(name, "phase"):
-                    yield
-            else:
-                with self.counters.phase(name):
-                    yield
+            with self.counters.phase(name):
+                yield
         finally:
-            if profiler is not None:
-                profiler.pop()
-            metrics = self.metrics
-            if metrics is not None:
-                metrics.on_phase_exit(name)
+            for exit_ in hooks.on_phase_exit:
+                exit_(name)
 
     def lanes(self, mask: Any) -> ContextManager[None]:
         """Restrict charging to the simulation lanes where ``mask`` holds.
@@ -765,11 +818,10 @@ class Hypercube:
         volume = pvar.local_size + 1 if self.abft is not None else pvar.local_size
         self.charge_comm_round(volume, dim=dim)
         out = PVar(self, src[self._neighbor[dim]])
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
+        for audit in self.hooks.audit_exchange:
             # Audit against the captured block: a flip landing during the
             # charge replaces pvar.data, but what crossed the wire is src.
-            sanitizer.audit_exchange(self, PVar(self, src), out, dim)
+            audit(self, PVar(self, src), out, dim)
         faults = self.faults
         if faults is not None:
             # In-flight corruption is applied after the audit: the audit

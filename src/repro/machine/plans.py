@@ -50,14 +50,13 @@ consequences hold in both cache modes:
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .hypercube import Hypercube
@@ -78,8 +77,7 @@ DEFAULT_MAXSIZE = 512
 
 def env_enabled() -> bool:
     """The process-wide default from ``REPRO_PLAN_CACHE`` (default: on)."""
-    raw = os.environ.get(ENV_FLAG, "1").strip().lower()
-    return raw not in ("0", "off", "false", "no")
+    return env_flag(ENV_FLAG, default=True)
 
 
 def readonly(array: np.ndarray) -> np.ndarray:
@@ -118,16 +116,16 @@ def charge_route(machine: "Hypercube", stats: Optional["RouteStats"]) -> None:
     same as re-running the per-dimension routing loop.
     """
     if stats is not None:
-        sanitizer = machine.sanitizer
-        before = machine.counters.snapshot() if sanitizer is not None else None
+        hooks = machine.hooks
+        audits = hooks.audit_charge_route
+        before = machine.counters.snapshot() if audits else None
         machine.counters.charge_transfer(
             stats.element_hops, stats.rounds, stats.time
         )
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.on_route_replay(stats)
-        if sanitizer is not None:
-            sanitizer.audit_charge_route(machine, stats, before)
+        for on_replay in hooks.on_route_replay:
+            on_replay(stats)
+        for audit in audits:
+            audit(machine, stats, before)
 
 
 class PlanCache:
@@ -196,9 +194,8 @@ class PlanCache:
             return MISSING
         self._store.move_to_end(key)
         self.machine.counters.plan_hits += 1
-        sanitizer = self.machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_plan_hit(self.machine, key, value)
+        for on_hit in self.machine.hooks.on_plan_hit:
+            on_hit(self.machine, key, value)
         return value
 
     def store(self, key: Hashable, value: Any) -> Any:
@@ -212,9 +209,8 @@ class PlanCache:
         key = (self.machine.epoch, key)
         self._store[key] = value
         self._store.move_to_end(key)
-        sanitizer = self.machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_plan_store(self.machine, key, value)
+        for on_store in self.machine.hooks.on_plan_store:
+            on_store(self.machine, key, value)
         while len(self._store) > self.maxsize:
             self._store.popitem(last=False)
             self.machine.counters.plan_evictions += 1
@@ -224,12 +220,14 @@ class PlanCache:
         """``build()`` once per key; recompute every call when disabled."""
         value = self.lookup(key)
         if value is MISSING:
-            profiler = self.machine.profiler
-            if profiler is not None:
-                with profiler.section("plan-build", "plans"):
-                    value = self.store(key, build())
-            else:
+            hooks = self.machine.hooks
+            for enter in hooks.on_section_enter:
+                enter("plan-build", "plans")
+            try:
                 value = self.store(key, build())
+            finally:
+                for exit_ in hooks.on_section_exit:
+                    exit_()
         return value
 
     # -- metrics publication ---------------------------------------------------

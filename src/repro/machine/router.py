@@ -21,19 +21,15 @@ naive reductions) serialises on the links near the destination.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, NodeKilledError, ShapeError, UnroutableError
-from .hypercube import Hypercube
+from .hypercube import NULL_CONTEXT, Hypercube, maybe_span
 from .plans import MISSING
 from .pvar import PVar
-
-#: Shared no-op context for unspanned (untraced or uncharged) simulations.
-_NULL = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -105,17 +101,19 @@ class Router:
             faults.poll(strict=False)
 
         # A charged simulation is an observable event; uncharged what-if
-        # queries from the analytic models stay invisible to the tracer.
-        tracer = machine.tracer if charge else None
-        if tracer is not None:
-            span_ctx = tracer.span(
+        # queries from the analytic models stay invisible to observers.
+        hooks = machine.hooks
+        on_rounds = hooks.on_route_round if charge else ()
+        if charge and hooks.on_span_enter:
+            span_ctx = maybe_span(
+                machine,
                 "route",
                 "route",
                 messages=int(src.size),
                 volume=float(sizes.sum()),
             )
         else:
-            span_ctx = None
+            span_ctx = NULL_CONTEXT
         # Gray state (slow links/nodes, or lingering health suspicion that
         # may trigger straggler avoidance) is continuous: it stretches
         # round time and steers routing without a topology epoch to key
@@ -125,7 +123,7 @@ class Router:
             and faults.avoid_stragglers
             and faults.health.tracked > 0
         )
-        with span_ctx if span_ctx is not None else _NULL:
+        with span_ctx:
             # Identical h-relations recur every iteration of the solver
             # loops; memoize their stats under a digest of the exact message
             # multiset.  A hit replays the identical single charge_transfer
@@ -139,19 +137,17 @@ class Router:
                 cached = plans.lookup(cache_key)
                 if cached is not MISSING:
                     if charge:
-                        sanitizer = machine.sanitizer
+                        audits = hooks.audit_route
                         before = (
-                            machine.counters.snapshot()
-                            if sanitizer is not None
-                            else None
+                            machine.counters.snapshot() if audits else None
                         )
                         machine.counters.charge_transfer(
                             cached.element_hops, cached.rounds, cached.time
                         )
-                        if tracer is not None:
-                            tracer.on_route_replay(cached)
-                        if sanitizer is not None:
-                            sanitizer.audit_route(
+                        for on_replay in hooks.on_route_replay:
+                            on_replay(cached)
+                        for audit in audits:
+                            audit(
                                 machine, src, dst, sizes, cached,
                                 before, from_cache=True,
                             )
@@ -159,7 +155,7 @@ class Router:
 
             if machine.faulty or gray:
                 stats = self._simulate_faulty(
-                    src, dst, sizes, tracer, observe=charge
+                    src, dst, sizes, on_rounds, observe=charge
                 )
             else:
                 cur = src.copy()
@@ -183,8 +179,8 @@ class Router:
                     worst = max(worst, congestion)
                     rounds += 1
                     round_detail.append((d, congestion))
-                    if tracer is not None:
-                        tracer.on_route_round(d, loads, congestion)
+                    for on_round in on_rounds:
+                        on_round(d, loads, congestion)
                     cur[moving] ^= bit
                 stats = RouteStats(
                     rounds=rounds,
@@ -200,17 +196,13 @@ class Router:
                 # totals live inside _simulate_faulty) charges too; the
                 # healthy branch stored the identical floats, so this is
                 # bit-identical to charging the loop's own accumulators.
-                sanitizer = machine.sanitizer
-                before = (
-                    machine.counters.snapshot()
-                    if sanitizer is not None
-                    else None
-                )
+                audits = hooks.audit_route
+                before = machine.counters.snapshot() if audits else None
                 machine.counters.charge_transfer(
                     stats.element_hops, stats.rounds, stats.time
                 )
-                if sanitizer is not None:
-                    sanitizer.audit_route(
+                for audit in audits:
+                    audit(
                         machine, src, dst, sizes, stats, before,
                         from_cache=False,
                     )
@@ -284,7 +276,7 @@ class Router:
         src: np.ndarray,
         dst: np.ndarray,
         sizes: np.ndarray,
-        tracer: Optional[object],
+        on_rounds: tuple,
         observe: bool = True,
     ) -> "RouteStats":
         """E-cube routing on a machine with dead, slow and/or flaky parts.
@@ -377,8 +369,8 @@ class Router:
             worst = max(worst, congestion)
             rounds += 1
             round_detail.append((dim, congestion))
-            if tracer is not None:
-                tracer.on_route_round(dim, loads, congestion)
+            for on_round in on_rounds:
+                on_round(dim, loads, congestion)
             if observe and health is not None and (gray or health.tracked):
                 # Timing telemetry: each endpoint sees how long its own
                 # exchange took, so the stretch is attributable to the

@@ -17,10 +17,12 @@ Three kinds of label arrive for free once attached:
 * every ``Hypercube.phase(name)`` pushes/pops ``name`` (so core compute
   and the ABFT ``abft-maintain``/``abft-verify``/``abft-scrub`` phases
   split out immediately);
-* :meth:`bind` wraps an attached sanitizer in a timing proxy, so every
-  audit call lands under ``sanitizer-checks``;
-* :meth:`PlanCache.memo <repro.machine.plans.PlanCache.memo>` wraps plan
-  construction misses under ``plan-build``.
+* :meth:`wrap_hook` times every hook of an attached sanitizer, so every
+  audit call lands under ``sanitizer-checks`` (the machine passes each
+  observer hook through it when it builds its hook tuples, so the attach
+  order does not matter);
+* :meth:`PlanCache.memo <repro.machine.plans.PlanCache.memo>` opens a
+  ``plan-build`` section around plan construction misses.
 
 Contract (pinned by ``tests/test_metrics.py``): the profiler never
 charges the machine — simulated ticks and all counters are bit-identical
@@ -33,10 +35,13 @@ import contextlib
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, env_flag
 
 #: Environment variable that turns the profiler on for new ``Session``s.
 ENV_FLAG = "REPRO_PROFILE"
+
+#: Observers whose hooks are timed under one label: role -> (label, category).
+TIMED_ROLES = {"sanitizer": ("sanitizer-checks", "check")}
 
 #: Label for wall time not inside any phase/section.
 ROOT = "(unattributed)"
@@ -47,56 +52,7 @@ MAX_SAMPLES = 4096
 
 def env_enabled() -> bool:
     """The process-wide default from ``REPRO_PROFILE`` (default: off)."""
-    import os
-
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
-
-
-class _ProfiledProxy:
-    """Wraps an attachment so every method call is timed under one label.
-
-    The proxy forwards everything; callable attributes are wrapped once
-    (memoized into the instance ``__dict__``) in a closure that pushes
-    the label around the call.  Non-callable attributes pass through
-    live, so ``proxy.stats`` etc. always reflect the target.
-    """
-
-    _PASSTHROUGH = ("_target", "_profiler", "_label", "_category")
-
-    def __init__(self, target: Any, profiler: "PhaseProfiler",
-                 label: str, category: str) -> None:
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_profiler", profiler)
-        object.__setattr__(self, "_label", label)
-        object.__setattr__(self, "_category", category)
-
-    def __getattr__(self, name: str) -> Any:
-        attr = getattr(self._target, name)
-        if not callable(attr):
-            return attr
-        profiler = self._profiler
-        label = self._label
-        category = self._category
-
-        def timed(*args: Any, **kwargs: Any) -> Any:
-            profiler.push(label, category)
-            try:
-                return attr(*args, **kwargs)
-            finally:
-                profiler.pop()
-
-        timed.__name__ = getattr(attr, "__name__", name)
-        # Memoize: later lookups skip __getattr__ entirely.  Bound methods
-        # are stable on the target, so the closure never goes stale.
-        object.__setattr__(self, name, timed)
-        return timed
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        setattr(self._target, name, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_ProfiledProxy({self._target!r} as {self._label!r})"
+    return env_flag(ENV_FLAG)
 
 
 class PhaseProfiler:
@@ -108,6 +64,8 @@ class PhaseProfiler:
         A zero-argument callable returning seconds; defaults to
         :func:`time.perf_counter`.  Tests inject a deterministic counter.
     """
+
+    role = "profiler"
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
@@ -125,29 +83,32 @@ class PhaseProfiler:
     # -- binding --------------------------------------------------------------
 
     def bind(self, machine: Any) -> None:
-        """Bind to a machine; wraps an attached sanitizer in a timing proxy.
-
-        Attach the profiler *after* the sanitizer so the proxy sees it
-        (``Session`` does this); a sanitizer attached later is not wrapped.
-        """
         if self.machine is not None and self.machine is not machine:
             raise ConfigError(
                 "profiler is already bound to a different machine"
             )
         self.machine = machine
-        self._wrap_sanitizer(machine)
 
     def rebind(self, machine: Any) -> None:
         """Re-bind to a replacement machine (degraded-mode recovery)."""
         self.machine = machine
-        self._wrap_sanitizer(machine)
 
-    def _wrap_sanitizer(self, machine: Any) -> None:
-        sanitizer = machine.sanitizer
-        if sanitizer is not None and not isinstance(sanitizer, _ProfiledProxy):
-            machine.sanitizer = _ProfiledProxy(
-                sanitizer, self, "sanitizer-checks", "check"
-            )
+    def wrap_hook(self, observer: Any, hook: Callable) -> Callable:
+        """Time ``observer``'s hook when its role is in :data:`TIMED_ROLES`."""
+        timed_as = TIMED_ROLES.get(observer.role)
+        if timed_as is None:
+            return hook
+        label, category = timed_as
+        push, pop = self.push, self.pop
+
+        def timed(*args: Any, **kwargs: Any) -> Any:
+            push(label, category)
+            try:
+                return hook(*args, **kwargs)
+            finally:
+                pop()
+
+        return timed
 
     # -- run control ----------------------------------------------------------
 
@@ -208,14 +169,19 @@ class PhaseProfiler:
         if machine is not None and not self._stack:
             self._sample(machine)
 
-    @contextlib.contextmanager
-    def section(self, label: str, category: str = "section") -> Iterator[None]:
-        """Attribute a block to ``label`` (used for plan-build work)."""
+    # -- observer hooks ----------------------------------------------------------
+
+    def on_phase_enter(self, name: str) -> None:
+        self.push(name)
+
+    def on_phase_exit(self, name: str) -> None:
+        self.pop()
+
+    def on_section_enter(self, label: str, category: str) -> None:
         self.push(label, category)
-        try:
-            yield
-        finally:
-            self.pop()
+
+    def on_section_exit(self) -> None:
+        self.pop()
 
     # -- Chrome counter track --------------------------------------------------
 

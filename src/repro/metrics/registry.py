@@ -10,8 +10,8 @@ per-lane batch accounting — each with its own ad-hoc dict shape.  The
   :meth:`MetricsRegistry.publish` with flat dotted lowercase names
   (``plan_cache.hits``, ``abft.scrub_rounds``, ``router.detours``,
   ``batch.active_lanes``, ...);
-* :meth:`collect` walks the bound machine's attachments and returns one
-  ``{name: value}`` dict;
+* :meth:`collect` walks the bound machine's counters, plan cache,
+  interceptors and observers and returns one ``{name: value}`` dict;
 * :meth:`snapshot` records a collection *on the simulated clock*, so a
   run's metric history lines up with its Chrome trace;
 * :meth:`to_jsonl` / :meth:`counter_track_events` export the history as
@@ -21,8 +21,9 @@ per-lane batch accounting — each with its own ad-hoc dict shape.  The
 Design contract (same as the PR 2 tracer, pinned by
 ``tests/test_metrics.py``):
 
-* **Null by default.**  ``machine.metrics`` is ``None`` unless attached;
-  a run without the registry never imports this module.
+* **Null by default.**  No registry is attached unless asked for (it is
+  one observer of :meth:`~repro.machine.hypercube.Hypercube.attach`); a
+  run without the registry never imports this module.
 * **Read-only.**  The registry never charges the machine and never
   mutates subsystem state; simulated ticks and every counter are
   bit-identical with metrics on or off.
@@ -35,7 +36,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, IO, List, Optional, Union
 
-from ..errors import ConfigError
+from ..errors import ConfigError, env_flag
 
 #: Environment variable that turns the registry on for new ``Session``s.
 ENV_FLAG = "REPRO_METRICS"
@@ -54,10 +55,7 @@ _KINDS = ("counter", "gauge")
 
 def env_enabled() -> bool:
     """The process-wide default from ``REPRO_METRICS`` (default: off)."""
-    import os
-
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
+    return env_flag(ENV_FLAG)
 
 
 @dataclass(frozen=True)
@@ -73,11 +71,13 @@ class Metric:
 class MetricsRegistry:
     """A flat metric namespace bound to one machine.
 
-    Attach with :meth:`Hypercube.attach_metrics` (or
-    ``Session(metrics=True)``, or ``REPRO_METRICS=1``).  The registry
+    Attach with :meth:`Hypercube.attach` (or ``Session(metrics=True)``,
+    or ``REPRO_METRICS=1``).  The registry
     survives degraded-mode recovery: the session rebinds it to the
     survivor subcube and the snapshot history keeps accumulating.
     """
+
+    role = "metrics"
 
     def __init__(self, max_snapshots: int = MAX_SNAPSHOTS) -> None:
         if max_snapshots < 1:
@@ -158,26 +158,36 @@ class MetricsRegistry:
 
     def collect_from(self, *publishers: Any) -> Dict[str, float]:
         """One collection pass over explicit publisher objects."""
+        return self._collect([p.publish_metrics for p in publishers])
+
+    def _collect(self, publish_hooks: List[Any]) -> Dict[str, float]:
         if self._sink is not None:
             raise ConfigError("metric collection is already in progress")
         self._sink = {}
         try:
-            for publisher in publishers:
-                publisher.publish_metrics(self)
+            for publish in publish_hooks:
+                publish(self)
             return self._sink
         finally:
             self._sink = None
 
     def collect(self) -> Dict[str, float]:
-        """Walk the bound machine's attachments; returns ``{name: value}``."""
+        """Walk the bound machine's publishers; returns ``{name: value}``.
+
+        Counters, plan cache, the fault and ABFT interceptors, then every
+        attached observer's ``publish_metrics`` hook.
+        """
         machine = self.machine
         if machine is None:
             raise ConfigError("metrics registry is not bound to a machine")
         publishers = [machine.counters, machine.plans]
-        for attachment in (machine.faults, machine.abft, machine.sanitizer):
-            if attachment is not None:
-                publishers.append(attachment)
-        return self.collect_from(*publishers)
+        for interceptor in (machine.faults, machine.abft):
+            if interceptor is not None:
+                publishers.append(interceptor)
+        return self._collect(
+            [p.publish_metrics for p in publishers]
+            + list(machine.hooks.publish_metrics)
+        )
 
     # -- snapshots on the simulated clock -------------------------------------
 

@@ -1,7 +1,7 @@
 """Observability for the simulated machine: tracing, congestion, exporters.
 
 Turn it on per session (``Session(n, trace=True)``), per machine
-(``machine.attach_tracer(Tracer())``) or process-wide (``REPRO_TRACE=1``);
+(``machine.attach(Tracer())``) or process-wide (``REPRO_TRACE=1``);
 the default is a null tracer whose only cost is one branch per
 instrumented call site, with cost totals bit-identical either way.
 

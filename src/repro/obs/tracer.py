@@ -11,10 +11,12 @@ so the span tree *is* the call tree of the simulation.
 
 Design constraints (pinned by ``tests/test_obs.py``):
 
-* **Null by default.**  ``machine.tracer`` is ``None`` unless a tracer is
-  attached; every instrumentation site guards with a single ``is None``
-  branch and charges nothing, so cost totals are bit-identical with
-  tracing on, off, or absent.
+* **Null by default.**  No tracer is attached unless asked for; the tracer
+  is one observer of the machine's hook protocol
+  (:meth:`~repro.machine.hypercube.Hypercube.attach`), so every
+  instrumentation site pays one empty-tuple branch without it and the
+  tracer charges nothing: cost totals are bit-identical with tracing on,
+  off, or absent.
 * **Simulated ticks are the clock.**  Span timestamps are
   ``counters.time`` values, so per-phase span durations sum exactly to the
   ``phase_times`` the counters already report.
@@ -25,13 +27,13 @@ Design constraints (pinned by ``tests/test_obs.py``):
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..machine.counters import CostSnapshot
+from ..machine.hypercube import NULL_CONTEXT, maybe_span
 from .congestion import CongestionAggregator
-from ..errors import ConfigError
+from ..errors import ConfigError, env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..machine.hypercube import Hypercube
@@ -39,26 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Environment variable that turns tracing on for new ``Session``s.
 ENV_FLAG = "REPRO_TRACE"
 
-#: Shared re-entrant no-op context used when no tracer is attached.
-NULL_CONTEXT = contextlib.nullcontext()
-
 
 def env_enabled() -> bool:
     """The process-wide default from ``REPRO_TRACE`` (default: off)."""
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    return raw in ("1", "on", "true", "yes")
-
-
-def maybe_span(machine: "Hypercube", name: str, category: str, **attrs: Any):
-    """A span on ``machine``'s tracer, or a shared no-op context.
-
-    This is the single branch every instrumented call site pays when
-    tracing is off.
-    """
-    tracer = machine.tracer
-    if tracer is None:
-        return NULL_CONTEXT
-    return tracer.span(name, category, **attrs)
+    return env_flag(ENV_FLAG)
 
 
 @dataclass
@@ -139,12 +125,14 @@ class Span:
 class Tracer:
     """Collects a span tree plus congestion statistics from one machine.
 
-    Attach with :meth:`Hypercube.attach_tracer` (or ``Session(trace=True)``)
+    Attach with :meth:`Hypercube.attach` (or ``Session(trace=True)``)
     *before* running the workload.  Query ``roots``, :meth:`iter_spans`,
     :meth:`find`, :meth:`primitive_summary` afterwards, or export with
     :func:`repro.obs.export.to_chrome_trace` / :func:`~repro.obs.export.
     to_jsonl`.
     """
+
+    role = "tracer"
 
     def __init__(self) -> None:
         self.machine: Optional["Hypercube"] = None
@@ -152,11 +140,12 @@ class Tracer:
         self.events: List[Dict[str, Any]] = []
         self.congestion = CongestionAggregator()
         self._stack: List[Span] = []
+        self._phase_opened: List[bool] = []
 
     # -- binding --------------------------------------------------------------
 
     def bind(self, machine: "Hypercube") -> None:
-        """Bind to a machine (called by ``Hypercube.attach_tracer``)."""
+        """Bind to a machine (called by ``Hypercube.attach``)."""
         if self.machine is not None and self.machine is not machine:
             raise ConfigError("tracer is already bound to a different machine")
         self.machine = machine
@@ -182,9 +171,10 @@ class Tracer:
 
     # -- span lifecycle -------------------------------------------------------
 
-    @contextlib.contextmanager
-    def span(self, name: str, category: str = "span", **attrs: Any):
-        """Open a span around the block; closes on exit, exceptions included."""
+    def on_span_enter(
+        self, name: str, category: str, attrs: Dict[str, Any]
+    ) -> Span:
+        """Open a span (nested under the innermost open one)."""
         c = self._counters()
         span = Span(
             name=name,
@@ -200,16 +190,41 @@ class Tracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
+        return span
+
+    def on_span_exit(self) -> None:
+        """Close the innermost open span and log it."""
+        c = self._counters()
+        span = self._stack.pop()
+        span.end_ts = c.time
+        span.end = c.snapshot()
+        span.plan_hits = c.plan_hits - span.plan_hits
+        span.plan_misses = c.plan_misses - span.plan_misses
+        self.events.append(span.to_event())
+
+    @contextlib.contextmanager
+    def span(self, name: str, category: str = "span", **attrs: Any):
+        """Open a span around the block; closes on exit, exceptions included."""
+        span = self.on_span_enter(name, category, attrs)
         try:
             yield span
         finally:
-            popped = self._stack.pop()
-            assert popped is span
-            span.end_ts = c.time
-            span.end = c.snapshot()
-            span.plan_hits = c.plan_hits - span.plan_hits
-            span.plan_misses = c.plan_misses - span.plan_misses
-            self.events.append(span.to_event())
+            self.on_span_exit()
+
+    def on_phase_enter(self, name: str) -> None:
+        """A phase opens a span, except a nested re-entry of the same name.
+
+        That mirrors the counters' re-entry rule, so span durations per
+        phase sum exactly to ``phase_times``.
+        """
+        opened = name not in self._counters()._phase_stack
+        if opened:
+            self.on_span_enter(name, "phase", {})
+        self._phase_opened.append(opened)
+
+    def on_phase_exit(self, name: str) -> None:
+        if self._phase_opened.pop():
+            self.on_span_exit()
 
     @property
     def current(self) -> Optional[Span]:

@@ -27,7 +27,7 @@ from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.machine.hypercube import Hypercube
 from repro.metrics import MetricsRegistry, PhaseProfiler
-from repro.metrics.profiler import ROOT, _ProfiledProxy
+from repro.metrics.profiler import ROOT
 from repro.metrics.registry import MAX_SNAPSHOTS, SCHEMA
 from repro.obs import validate_chrome_trace
 
@@ -61,10 +61,10 @@ class TestNullDefault:
         monkeypatch.delenv("REPRO_METRICS", raising=False)
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         s = Session(3)
-        assert s.machine.metrics is None
-        assert s.machine.profiler is None
-        assert Hypercube(3).metrics is None
-        assert Hypercube(3).profiler is None
+        assert s.metrics is None
+        assert s.profiler is None
+        assert s.machine.observers == ()
+        assert Hypercube(3).observers == ()
 
     def test_env_flags_attach(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "1")
@@ -75,15 +75,15 @@ class TestNullDefault:
 
     def test_registry_rejects_second_machine(self):
         r = MetricsRegistry()
-        Hypercube(2).attach_metrics(r)
+        Hypercube(2).attach(r)
         with pytest.raises(ConfigError):
-            Hypercube(3).attach_metrics(r)
+            Hypercube(3).attach(r)
 
     def test_profiler_rejects_second_machine(self):
         p = PhaseProfiler()
-        Hypercube(2).attach_profiler(p)
+        Hypercube(2).attach(p)
         with pytest.raises(ConfigError):
-            Hypercube(3).attach_profiler(p)
+            Hypercube(3).attach(p)
 
 
 # -- registry: names, kinds, publication --------------------------------------
@@ -272,20 +272,22 @@ class TestProfiler:
         text = p.format_table()
         assert "slow" in text and "fast" in text
 
-    def test_sanitizer_proxy_attribution(self):
+    def test_sanitizer_hook_attribution(self):
         s = Session(3, sanitize=True, profile=True)
-        assert isinstance(s.machine.sanitizer, _ProfiledProxy)
+        assert isinstance(s.sanitizer, MachineSanitizer)
         with s.profiler.profiled():
             run_gaussian(s, size=8)
         assert s.profiler.times.get("sanitizer-checks", 0.0) > 0.0
         assert s.profiler.categories["sanitizer-checks"] == "check"
 
-    def test_proxy_forwards_attributes(self):
-        s = Session(3, sanitize=True, profile=True)
-        proxy = s.machine.sanitizer
-        assert proxy.sample_every == 1
-        proxy.foo = 7  # setattr lands on the wrapped sanitizer
-        assert proxy._target.foo == 7
+    def test_attach_order_does_not_matter(self):
+        """The profiler attached *before* the sanitizer still times it."""
+        s = Session(3, profile=True)
+        s.machine.attach(MachineSanitizer())
+        with s.profiler.profiled():
+            run_gaussian(s, size=8)
+        rows = {row["label"]: row for row in s.profiler.table(top_n=100)}
+        assert rows["sanitizer-checks"]["count"] > 0
 
     def test_coverage_on_sanitized_gaussian(self):
         """Acceptance: >= 90% of host time attributed on a sanitize-on run."""
@@ -326,9 +328,9 @@ class TestDegrade:
         registry, profiler = s.metrics, s.profiler
         s.machine.kill_node(5)
         s.degrade()
-        assert s.machine.metrics is registry
+        assert s.metrics is registry
         assert registry.machine is s.machine
-        assert s.machine.profiler is profiler
+        assert s.profiler is profiler
         assert profiler.machine is s.machine
         run_gaussian(s, size=6)
         assert registry.collect()["machine.ticks"] > 0
@@ -344,10 +346,12 @@ from repro import workloads as W
 from repro.algorithms import gaussian
 
 mode = sys.argv[1]
-kwargs = {}
-if mode == "on":
-    kwargs = dict(metrics=True, profile=True)
-s = Session(4, sanitize=True, **kwargs)
+kwargs = {
+    "on": dict(sanitize=True, metrics=True, profile=True),
+    "off": dict(sanitize=True),
+    "bare": {},
+}[mode]
+s = Session(4, **kwargs)
 if mode == "on":
     s.profiler.start()
 A_host, b, _ = W.random_system(12, seed=0)
@@ -359,9 +363,9 @@ out = {
     "snap": {k: repr(v) for k, v in snap.items()},
     "x": [repr(float(v)) for v in np.asarray(x.x)],
     "plan": [s.machine.counters.plan_hits, s.machine.counters.plan_misses],
-    "checks": s.machine.sanitizer.stats.total
-    if mode != "on" else s.machine.sanitizer._target.stats.total,
+    "checks": s.sanitizer.stats.total if s.sanitizer is not None else 0,
     "metrics_imported": "repro.metrics" in sys.modules,
+    "sanitizer_imported": "repro.check.sanitizer" in sys.modules,
 }
 print(json.dumps(out))
 """
@@ -392,3 +396,8 @@ class TestBitIdentityPin:
         assert off["metrics_imported"] is False
         on = _run_pin("on")
         assert on["metrics_imported"] is True
+        assert on["sanitizer_imported"] is True
+        bare = _run_pin("bare")
+        assert bare["metrics_imported"] is False
+        assert bare["sanitizer_imported"] is False
+        assert bare["snap"] == off["snap"] and bare["x"] == off["x"]

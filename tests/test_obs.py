@@ -17,6 +17,8 @@ from repro import Session
 from repro import workloads as W
 from repro.algorithms import gaussian, simplex
 from repro.algorithms.naive import NaiveVector
+from repro.check import MachineSanitizer
+from repro.errors import ConfigError
 from repro.machine.hypercube import Hypercube
 from repro.obs import (
     Tracer,
@@ -56,8 +58,8 @@ def run_primitives(session, rows=12, cols=8, seed=0):
 class TestNullDefault:
     def test_machine_has_no_tracer_by_default(self, monkeypatch):
         monkeypatch.delenv(ENV_FLAG, raising=False)
-        assert Session(3).machine.tracer is None
-        assert Hypercube(3).tracer is None
+        assert Session(3).tracer is None
+        assert Hypercube(3).observer("tracer") is None
 
     def test_maybe_span_is_shared_noop_without_tracer(self):
         m = Hypercube(2)
@@ -66,17 +68,30 @@ class TestNullDefault:
 
     def test_attach_and_detach(self):
         m = Hypercube(2)
-        t = m.attach_tracer(Tracer())
-        assert m.tracer is t
+        t = m.attach(Tracer())
+        assert m.observers == (t,)
+        assert m.observer("tracer") is t
         assert t.machine is m
-        m.attach_tracer(None)
-        assert m.tracer is None
+        m.detach(t)
+        assert m.observers == ()
+        assert m.observer("tracer") is None
+        assert maybe_span(m, "x", "primitive") is NULL_CONTEXT
+
+    def test_hooks_hold_only_what_observers_define(self):
+        m = Hypercube(2)
+        sanitizer = m.attach(MachineSanitizer())
+        assert m.hooks.on_span_enter == ()
+        assert maybe_span(m, "x", "primitive") is NULL_CONTEXT
+        assert len(m.hooks.audit_exchange) == 1
+        with pytest.raises(ConfigError):
+            m.attach(MachineSanitizer())  # one observer per role
+        assert m.observers == (sanitizer,)
 
     def test_tracer_rejects_second_machine(self):
         t = Tracer()
-        Hypercube(2).attach_tracer(t)
+        Hypercube(2).attach(t)
         with pytest.raises(ValueError):
-            Hypercube(3).attach_tracer(t)
+            Hypercube(3).attach(t)
 
 
 class TestEnvFlag:

@@ -48,18 +48,32 @@ def _baseline():
     return np.asarray(result), s.time
 
 
+def _kill_heal_run(t0, strategy, observed=False):
+    plan = FaultPlan([
+        NodeKill(0.3 * t0, pid=3),
+        NodeHeal(0.6 * t0, pid=3),
+    ])
+    observers = (
+        dict(trace=True, sanitize=True, metrics=True, profile=True)
+        if observed else {}
+    )
+    s = Session(N_DIMS, "unit", faults=plan, **observers)
+    return s, run_resilient(s, _make(), policy=strategy)
+
+
 class TestPromotion:
-    @pytest.mark.parametrize("strategy", ["host", "diskless"])
-    def test_kill_heal_promote_matches_baseline(self, strategy):
+    @pytest.mark.parametrize(
+        "strategy, observed",
+        [("host", False), ("diskless", False), ("host", True)],
+        ids=["host", "diskless", "host-observed"],
+    )
+    def test_kill_heal_promote_matches_baseline(self, strategy, observed):
         """Degrade on the kill, re-expand to the full cube on the heal —
-        and the final answer is the fault-free one."""
+        and the final answer is the fault-free one.  With all four
+        observers attached, promotion carries them to the new machine and
+        nothing they see changes a result or a counter."""
         baseline, t0 = _baseline()
-        plan = FaultPlan([
-            NodeKill(0.3 * t0, pid=3),
-            NodeHeal(0.6 * t0, pid=3),
-        ])
-        s = Session(N_DIMS, "unit", faults=plan)
-        report = run_resilient(s, _make(), policy=strategy)
+        s, report = _kill_heal_run(t0, strategy, observed)
         assert report.recovered, report.error
         assert report.recoveries == 1
         assert report.promotions == 1
@@ -67,6 +81,22 @@ class TestPromotion:
         assert report.stats.node_heals == 1
         assert report.stats.expansions == 1
         np.testing.assert_array_equal(np.asarray(report.result), baseline)
+        if not observed:
+            return
+        plain, plain_report = _kill_heal_run(t0, strategy)
+        np.testing.assert_array_equal(
+            np.asarray(report.result), np.asarray(plain_report.result)
+        )
+        assert s.snapshot() == plain.snapshot()
+        observers = (s.tracer, s.sanitizer, s.metrics, s.profiler)
+        assert s.machine.observers == observers
+        for observer in observers:
+            assert observer.machine is s.machine
+        assert s.sanitizer.stats.total > 0
+        instants = {
+            e["name"] for e in s.tracer.events if e["type"] == "instant"
+        }
+        assert {"degrade", "promote"} <= instants
 
     def test_mixed_failure_sequence(self):
         """Satellite: corruption replay, then a node-kill degrade, then a

@@ -25,13 +25,13 @@ from repro import workloads
 def test_sanitizer_is_null_by_default():
     session = Session(4)
     assert session.sanitizer is None
-    assert session.machine.sanitizer is None
+    assert session.machine.observers == ()
 
 
 def test_session_sanitize_flag_attaches():
     session = Session(4, sanitize=True)
     assert isinstance(session.sanitizer, MachineSanitizer)
-    assert session.machine.sanitizer is session.sanitizer
+    assert session.machine.observers == (session.sanitizer,)
 
 
 def test_env_flag_enables(monkeypatch):
@@ -56,7 +56,7 @@ def test_mischarged_round_time_is_caught():
             self.counters.charge_transfer(volume * self.p * rounds, rounds, 0.0)
 
     machine = DropsStartup(3)
-    machine.attach_sanitizer(MachineSanitizer())
+    machine.attach(MachineSanitizer())
     with pytest.raises(SanitizerError, match=r"round-time"):
         machine.charge_comm_round(4.0, dim=1)
 
@@ -70,7 +70,7 @@ def test_lost_elements_are_caught():
             )
 
     machine = LosesElements(3)
-    machine.attach_sanitizer(MachineSanitizer())
+    machine.attach(MachineSanitizer())
     with pytest.raises(SanitizerError, match=r"round-conservation"):
         machine.charge_comm_round(4.0, dim=1)
 
@@ -162,9 +162,9 @@ def test_sanitizer_runs_checks_and_reports():
 
 def test_cannot_rebind_to_second_machine():
     sanitizer = MachineSanitizer()
-    Hypercube(3).attach_sanitizer(sanitizer)
+    Hypercube(3).attach(sanitizer)
     with pytest.raises(SanitizerError):
-        Hypercube(3).attach_sanitizer(sanitizer)
+        Hypercube(3).attach(sanitizer)
 
 
 def test_sanitizer_survives_degrade():
@@ -257,7 +257,7 @@ class TestSampledChecking:
     def test_unsampled_observe_is_a_noop(self):
         sanitizer = MachineSanitizer()
         m = Hypercube(3)
-        m.attach_sanitizer(sanitizer)
+        m.attach(sanitizer)
         before = sanitizer._last
         assert sanitizer.observe(m, sampled=False) is None
         assert sanitizer._last is before
@@ -272,7 +272,7 @@ class TestSampledChecking:
         """Structural hooks (plan replay, epoch) stay unsampled."""
         sanitizer = MachineSanitizer(sample_every=1000)
         m = Hypercube(3)
-        m.attach_sanitizer(sanitizer)
+        m.attach(sanitizer)
         with pytest.raises(SanitizerError):
             sanitizer.on_epoch_bump(m, m.epoch + 5)
 
